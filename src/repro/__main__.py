@@ -5,7 +5,7 @@ Run one benchmark under one scheme and print the statistics::
     python -m repro gzip                       # base 4-wide machine
     python -m repro gzip --scheme PRI+ER       # any Figure 10 scheme
     python -m repro mcf --width 8 --length 10000 --regs 96
-    python -m repro gzip --backend vector --regs 64,96,128,256
+    python -m repro gzip --regs 64,96,128,256  # PRF size sweep table
     python -m repro --list                     # available benchmarks
 
 For the full table/figure harness use ``python -m repro.experiments``.
@@ -19,6 +19,7 @@ import time
 
 from repro.core.machine import SimulationError, simulate
 from repro.experiments.runner import SCHEMES, width_config
+from repro.isa.registers import NUM_INT_ARCH_REGS
 from repro.workloads import ALL_BENCHMARKS, generate_trace
 
 
@@ -37,14 +38,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--regs", default=None,
                         help="override the physical register count per "
-                             "class; with --backend vector, a "
-                             "comma-separated list sweeps the sizes as "
-                             "one batched column")
-    parser.add_argument("--backend", choices=("scalar", "vector"),
-                        default="scalar",
-                        help="simulation backend: 'vector' runs the "
-                             "--regs size sweep as one lockstep column "
-                             "(bit-identical stats; needs numpy)")
+                             "class; a comma-separated list sweeps the "
+                             "sizes and prints one table row per size")
     parser.add_argument("--audit", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="attach the machine invariant auditor "
@@ -84,8 +79,10 @@ def main(argv=None) -> int:
     except ValueError:
         parser.error(f"--regs must be an integer or a comma-separated "
                      f"list of integers, got {args.regs!r}")
-    if len(reg_sizes) > 1 and args.backend != "vector":
-        parser.error("multiple --regs sizes need --backend vector")
+    small = [size for size in reg_sizes if size < NUM_INT_ARCH_REGS]
+    if small:
+        parser.error(f"--regs must be at least {NUM_INT_ARCH_REGS} (the "
+                     f"architected registers per class), got {small[0]}")
 
     config = SCHEMES[args.scheme](width_config(args.width))
     if len(reg_sizes) == 1:
@@ -100,31 +97,11 @@ def main(argv=None) -> int:
     trace = generate_trace(args.benchmark, args.length, seed=args.seed,
                            warmup=args.warmup)
 
-    if args.backend == "vector":
-        return _run_vector(args, config, trace, reg_sizes)
+    if len(reg_sizes) > 1:
+        return _run_sweep(args, config, trace, reg_sizes)
     start = time.time()
     try:
-        if args.checkpoint_every:
-            from repro.config import config_digest
-            from repro.experiments.runner import RunSpec, _run_checkpointed
-
-            spec = RunSpec(
-                length=args.length, warmup=args.warmup, seed=args.seed,
-                max_cycles=args.max_cycles,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=args.checkpoint_dir,
-            )
-            import os
-
-            path = os.path.join(
-                args.checkpoint_dir or ".repro-checkpoints",
-                f"{args.benchmark}-{args.scheme}-w{args.width}"
-                f"-n{args.length}-s{args.seed}"
-                f"-{config_digest(config)}.ckpt.json",
-            )
-            stats = _run_checkpointed(config, trace, path, spec)
-        else:
-            stats = simulate(config, trace, max_cycles=args.max_cycles)
+        stats = _simulate(args, config, trace)
     except SimulationError as err:
         print(f"simulation failed: {err}", file=sys.stderr)
         diagnostic = getattr(err, "diagnostic", None)
@@ -167,45 +144,53 @@ def main(argv=None) -> int:
     return 0
 
 
-def _run_vector(args, config, trace, reg_sizes) -> int:
-    """Run a PRF size sweep (or a single config) as one batched column."""
-    try:
-        from repro.vector import Lane, run_column
-    except ImportError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+def _simulate(args, config, trace):
+    """One run of ``config`` on ``trace``, checkpointed if asked."""
+    if not args.checkpoint_every:
+        return simulate(config, trace, max_cycles=args.max_cycles)
+    import os
 
-    if reg_sizes:
-        lanes = [Lane(key=str(size), config=config.with_phys_regs(size),
-                      trace=trace)
-                 for size in reg_sizes]
-    else:
-        lanes = [Lane(key=str(config.int_phys_regs), config=config,
-                      trace=trace)]
-    start = time.time()
-    outcome = run_column(lanes, max_cycles=args.max_cycles)
-    elapsed = time.time() - start
-    print(f"scheme {args.scheme!r}, {len(lanes)} lane(s) in "
-          f"{outcome.groups} coherence group(s), {outcome.forks} fork(s)")
-    failures = 0
+    from repro.config import config_digest
+    from repro.experiments.runner import RunSpec, _run_checkpointed
+
+    spec = RunSpec(
+        length=args.length, warmup=args.warmup, seed=args.seed,
+        max_cycles=args.max_cycles,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_dir=args.checkpoint_dir,
+    )
+    path = os.path.join(
+        args.checkpoint_dir or ".repro-checkpoints",
+        f"{args.benchmark}-{args.scheme}-w{args.width}"
+        f"-n{args.length}-s{args.seed}"
+        f"-{config_digest(config)}.ckpt.json",
+    )
+    return _run_checkpointed(config, trace, path, spec)
+
+
+def _run_sweep(args, config, trace, reg_sizes) -> int:
+    """Run one simulation per PRF size and print a row per size."""
+    print(f"scheme {args.scheme!r} on the {config.name} machine, "
+          f"{len(reg_sizes)} PRF sizes")
     print(f"{'PR':>6s} {'cycles':>9s} {'IPC':>6s} {'committed':>9s}")
-    for lane in lanes:
-        result = outcome.results[lane.key]
-        if result.error is not None:
+    failures = 0
+    start = time.time()
+    for size in reg_sizes:
+        try:
+            stats = _simulate(args, config.with_phys_regs(size), trace)
+        except SimulationError as err:
             failures += 1
-            print(f"{lane.key:>6s} failed: {result.error}", file=sys.stderr)
+            print(f"{size:>6d} failed: {err}", file=sys.stderr)
             continue
-        stats = result.stats
         if args.max_cycles is not None and stats.committed < len(trace):
             failures += 1
-            print(f"{lane.key:>6s} cycle watchdog: committed only "
+            print(f"{size:>6d} cycle watchdog: committed only "
                   f"{stats.committed}/{len(trace)} instructions",
                   file=sys.stderr)
             continue
-        print(f"{lane.key:>6s} {stats.cycles:>9d} {stats.ipc:>6.3f} "
+        print(f"{size:>6d} {stats.cycles:>9d} {stats.ipc:>6.3f} "
               f"{stats.committed:>9d}")
-    print(f"[{elapsed:.1f}s, {outcome.cycles_simulated} machine-cycles "
-          f"simulated for {len(lanes)} lane(s)]")
+    print(f"[{time.time() - start:.1f}s for {len(reg_sizes)} sizes]")
     return 1 if failures else 0
 
 

@@ -170,9 +170,8 @@ class MachineConfig:
     int_phys_regs: int = 64
     fp_phys_regs: int = 64
     #: Free-list allocation order (see :mod:`repro.rename.free_list`):
-    #: ``ordered`` (lowest-numbered free register first — the default,
-    #: and the property the batched vector backend's capacity-grouping
-    #: relies on) or ``fifo`` (release-order recycling).  Allocation
+    #: ``ordered`` (lowest-numbered free register first — the default)
+    #: or ``fifo`` (release-order recycling).  Allocation
     #: order is a modeling choice the paper leaves open; it does not
     #: change any scheme's timing except through which register numbers
     #: get reused (visible only in the REPLAY WAR policy's replay count

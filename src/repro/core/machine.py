@@ -106,16 +106,6 @@ class SimulationError(RuntimeError):
     deadlocks."""
 
 
-class _RenamePressure(Exception):
-    """Internal control-flow signal: rename found the destination class's
-    free list empty while a pressure hook is armed (vector backend only —
-    see :mod:`repro.vector.engine`).  Never escapes :meth:`Machine._rename`."""
-
-    def __init__(self, dest_cls) -> None:
-        super().__init__("rename register pressure")
-        self.dest_cls = dest_cls
-
-
 class Machine:
     """One configured machine instance.  Use :meth:`run` on a trace."""
 
@@ -214,14 +204,6 @@ class Machine:
         self._committed_target = 0
         self._last_commit_cycle = 0
 
-        #: Armed only by the vector backend: called as
-        #: ``hook(machine, dest_cls, budget_left)`` at the instant rename
-        #: would stall on an empty free list, *before* the stall is
-        #: accounted — the hook forks a larger-capacity clone at that
-        #: exact boundary.  None on every scalar machine, so the hot
-        #: path's only cost is one attribute test inside an already-taken
-        #: stall branch.
-        self._pressure_hook = None
         # End-of-cycle hooks (fault injection, tracing, watchdogs), the
         # optional self-auditing invariant checker, and the optional
         # golden-model differential oracle (built at reset, once the
@@ -545,15 +527,6 @@ class Machine:
     # ============================================================ rename
 
     def _rename(self) -> None:
-        self._rename_budget(self._width)
-
-    def _rename_budget(self, budget: int) -> None:
-        """Rename up to ``budget`` instructions this cycle.
-
-        Split out of :meth:`_rename` so a vector-backend clone — forked
-        mid-rename at a register-exhaustion stall — can finish the cycle
-        with exactly the budget its donor had left.
-        """
         buffer = self._fetch_buffer
         if not buffer:
             return
@@ -561,25 +534,12 @@ class Machine:
         rename_one = self._try_rename_one
         popleft = buffer.popleft
         renamed = 0
+        budget = self._width
         while budget and buffer:
             op, trace_idx, fetch_cycle = buffer[0]
             if fetch_cycle > horizon:
                 break
-            try:
-                ok = rename_one(op, trace_idx, fetch_cycle)
-            except _RenamePressure as pressure:
-                # Flush the renamed count *before* the hook runs: the hook
-                # deep-copies this machine, and the clone's stats must be
-                # exactly what a larger-capacity machine would hold here.
-                if renamed:
-                    self.stats.renamed += renamed
-                    renamed = 0
-                self._pressure_hook(self, pressure.dest_cls, budget)
-                # This machine then stalls exactly as it would have
-                # without the hook (same counter, same break).
-                self._stall(regs=True)
-                break
-            if not ok:
+            if not rename_one(op, trace_idx, fetch_cycle):
                 break
             popleft()
             budget -= 1
@@ -622,8 +582,6 @@ class Machine:
             )
             # Virtual-physical mode allocates at issue, not rename.
             if not self._vp and not li_inline and rf_map[dest_cls].free_list.empty:
-                if self._pressure_hook is not None:
-                    raise _RenamePressure(dest_cls)
                 return self._stall(regs=True)
 
         self._seq += 1
@@ -1438,35 +1396,6 @@ class Machine:
             self.auditor.check(self, final=True)
         if self.oracle is not None and self.cfg.oracle.final:
             self.oracle.check_arch(self, final=True)
-
-    # ================================================ capacity extension
-
-    def _extend_capacity(self, int_regs: int, fp_regs: int) -> None:
-        """Grow both register files mid-run (vector backend only).
-
-        Valid exactly when neither free list has ever emptied at the old
-        capacities *or* the call happens at the first empty-free-list
-        stall: under the ``ordered`` allocation policy the extended
-        machine's state is then bit-identical to a machine built at the
-        larger capacities from the start (see :mod:`repro.vector.engine`
-        for the argument).  Not supported in virtual-physical mode.
-        """
-        from dataclasses import replace
-
-        if self._vp:
-            raise SimulationError(
-                "capacity extension is undefined in virtual-physical mode"
-            )
-        self.rf[RegClass.INT].extend(int_regs)
-        self.rf[RegClass.FP].extend(fp_regs)
-        self.refcounts[RegClass.INT].extend(int_regs)
-        self.refcounts[RegClass.FP].extend(fp_regs)
-        for cls, rf in self.rf.items():
-            records = self._consumer_records[cls]
-            while len(records) < rf.num_regs:
-                records.append([])
-        self.cfg = replace(self.cfg, int_phys_regs=int_regs,
-                           fp_phys_regs=fp_regs)
 
     # ====================================================== debug helpers
 

@@ -153,42 +153,6 @@ class PhysRegFile:
         self.allocated_count -= 1
         return True
 
-    # ------------------------------------------------- capacity extension
-
-    def extend(self, new_num_regs: int) -> None:
-        """Grow the register file to ``new_num_regs``, the added registers
-        free and never-allocated.
-
-        Under the ``ordered`` allocation policy this reproduces, exactly,
-        the state a ``new_num_regs``-register machine would have reached
-        at this point — provided this file's free list has never emptied:
-        lowest-first allocation never touches registers above the old
-        capacity while lower ones are free, so the extras are fresh in
-        both machines (see :mod:`repro.vector.engine`).
-        """
-        if new_num_regs < self.num_regs:
-            raise ValueError(
-                f"cannot shrink {self.name} register file "
-                f"({self.num_regs} -> {new_num_regs})"
-            )
-        added = new_num_regs - self.num_regs
-        if not added:
-            return
-        self.free_list.extend_range(self.num_regs, new_num_regs)
-        self.state.extend([_FREE] * added)
-        self.gen.extend([0] * added)
-        self.value.extend([0] * added)
-        self.lreg.extend([-1] * added)
-        self.owner_seq.extend([-1] * added)
-        self.ready_select.extend([NEVER] * added)
-        self.pred_ready.extend([NEVER] * added)
-        self.inline_pending.extend([False] * added)
-        self.retire_pending.extend([False] * added)
-        self.alloc_cycle.extend([0] * added)
-        self.write_cycle.extend([None] * added)
-        self.last_read.extend([None] * added)
-        self.num_regs = new_num_regs
-
     # ----------------------------------------------------------- queries
 
     def is_free(self, preg: int) -> bool:

@@ -50,12 +50,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for benchmark-parallel "
                              "figures (results are identical to --jobs 1)")
-    parser.add_argument("--backend", choices=("scalar", "vector"),
-                        default="scalar",
-                        help="simulation backend: 'vector' batches each "
-                             "sweep column (cells sharing a trace, sizes "
-                             "sharing a machine) into one lockstep job "
-                             "with bit-identical results (needs numpy)")
     parser.add_argument("--audit", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="run every cell with the machine invariant "
@@ -136,19 +130,6 @@ def main(argv=None) -> int:
                    checkpoint_dir=args.checkpoint_dir)
     widths = (args.width,) if args.width else (4, 8)
     matrix_opts = {}
-    if args.backend != "scalar":
-        try:
-            import repro.vector  # noqa: F401 — fail early, with the gate's message
-        except ImportError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        if not args.farm and (args.jobs > 1 or args.cell_timeout is not None
-                              or args.retries):
-            parser.error("--backend vector runs whole columns in one "
-                         "process; --jobs/--cell-timeout/--retries apply "
-                         "to the scalar backend (use --farm to "
-                         "distribute columns)")
-        matrix_opts["backend"] = args.backend
     if args.journal or args.farm:
         from repro.experiments import SweepJournal
 
@@ -234,8 +215,7 @@ def main(argv=None) -> int:
                     result = figure2(length=max(args.length, 10000),
                                      seed=args.seed)
                 elif number == 9:
-                    result = _FIGURES[number](spec, widths=widths,
-                                              backend=args.backend)
+                    result = _FIGURES[number](spec, widths=widths)
                 else:
                     result = _FIGURES[number](spec, widths=widths,
                                               jobs=args.jobs,

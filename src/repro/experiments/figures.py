@@ -232,17 +232,9 @@ def figure9(
     benchmarks: Sequence[str] = INT_BENCHMARKS,
     sizes: Sequence[int] = PRF_SWEEP_SIZES,
     traces: Optional[TraceCache] = None,
-    backend: str = "scalar",
 ) -> FigureResult:
     """Base-machine speedup vs physical register count, normalized to the
-    smallest size (Figure 9).
-
-    ``backend='vector'`` runs each benchmark's whole size sweep as one
-    column on :mod:`repro.vector` — the canonical coherence-group shape:
-    every size lane shares the trace and differs only in PRF capacity,
-    so one machine carries the sweep and forks at each size's first
-    register-exhaustion stall.  IPCs are bit-identical to the scalar
-    path."""
+    smallest size (Figure 9)."""
     spec = spec or RunSpec()
     traces = traces or TraceCache()
     result = FigureResult(
@@ -254,25 +246,9 @@ def figure9(
         for benchmark in benchmarks:
             trace = traces.get(benchmark, spec)
             ipcs = {}
-            if backend == "vector":
-                from repro.vector import Lane, run_column
-
-                lanes = [
-                    Lane(key=str(size),
-                         config=width_config(width).with_phys_regs(size),
-                         trace=trace)
-                    for size in sizes
-                ]
-                outcome = run_column(lanes)
-                for size in sizes:
-                    lane_result = outcome.results[str(size)]
-                    if lane_result.error is not None:
-                        raise lane_result.error
-                    ipcs[size] = lane_result.stats.ipc
-            else:
-                for size in sizes:
-                    config = width_config(width).with_phys_regs(size)
-                    ipcs[size] = simulate(config, trace).ipc
+            for size in sizes:
+                config = width_config(width).with_phys_regs(size)
+                ipcs[size] = simulate(config, trace).ipc
             norm = ipcs[sizes[0]]
             data[benchmark] = {s: (ipcs[s] / norm if norm else 0.0) for s in sizes}
             rows.append([benchmark] + [data[benchmark][s] for s in sizes])

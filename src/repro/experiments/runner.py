@@ -285,73 +285,6 @@ def run_one(
     return stats
 
 
-# ======================================================== vector columns
-
-
-#: Backend names :func:`run_matrix` and the CLIs accept.  Mirrors
-#: ``repro.vector.BACKENDS`` but lives here so validation (and the error
-#: message for a missing numpy) never needs the vector package imported.
-MATRIX_BACKENDS: Tuple[str, ...] = ("scalar", "vector")
-
-
-def lane_key(benchmark: str, scheme: str) -> str:
-    """The lane identity a matrix cell gets inside a vector column."""
-    return f"{benchmark}|{scheme}"
-
-
-def _run_cells_vector(
-    cells: List[Tuple[str, str]],
-    width: int,
-    spec: RunSpec,
-    traces: "TraceCache",
-    on_cell_done: Callable[[str, str, "MatrixCell"], None],
-) -> None:
-    """Run a batch of cells on the vector backend, in process.
-
-    All cells become lanes of one column; the column planner groups
-    lanes that share a trace and differ only in PRF capacity onto one
-    machine (``base`` and ``inf`` of the same benchmark, notably), and
-    everything else runs as singleton groups — same results, one call.
-    Per-lane stats are bit-identical to :func:`run_one`; the per-lane
-    ``max_cycles`` watchdog is replicated here so a truncated lane
-    surfaces the same :class:`SimulationError` text as the scalar path.
-    """
-    from repro.vector import Lane, run_column  # lazy: optional numpy dep
-
-    lanes = []
-    lengths: Dict[str, int] = {}
-    for benchmark, scheme in cells:
-        trace = traces.get(benchmark, spec)
-        lengths[benchmark] = len(trace)
-        lanes.append(Lane(
-            key=lane_key(benchmark, scheme),
-            config=resolve_config(scheme, width, spec),
-            trace=trace,
-        ))
-    started = time.monotonic()
-    outcome = run_column(lanes, max_cycles=spec.max_cycles)
-    elapsed = time.monotonic() - started
-    for benchmark, scheme in cells:
-        result = outcome.results[lane_key(benchmark, scheme)]
-        cell: MatrixCell
-        error = result.error
-        if (error is None and spec.max_cycles is not None
-                and result.stats.committed < lengths[benchmark]):
-            error = SimulationError(
-                f"cycle-limit watchdog: {benchmark}/{scheme} committed only "
-                f"{result.stats.committed}/{lengths[benchmark]} instructions "
-                f"in {spec.max_cycles} cycles"
-            )
-        if error is not None:
-            cell = CellError(
-                benchmark, scheme, "error", type(error).__name__,
-                str(error), 1, elapsed,
-            )
-        else:
-            cell = result.stats
-        on_cell_done(benchmark, scheme, cell)
-
-
 # ================================================================ cells
 
 
@@ -617,7 +550,6 @@ def run_matrix(
     cell_fn: Optional[Callable] = None,
     farm: Optional[FarmSpec] = None,
     farm_progress: Optional[Callable] = None,
-    backend: str = "scalar",
 ) -> Dict[str, Dict[str, MatrixCell]]:
     """Simulate a benchmark x scheme matrix; returns [benchmark][scheme].
 
@@ -653,15 +585,6 @@ def run_matrix(
     ``cell_fn`` overrides the per-cell simulation callable (signature of
     :func:`run_one`); it exists for fault-injection tests.
 
-    ``backend='vector'`` dispatches the remaining cells as batched
-    columns on the lockstep backend (:mod:`repro.vector`, requires
-    numpy): cells that share a trace and differ only in physical
-    register capacity ride one simulation, forked on divergence, with
-    bit-identical per-lane results and per-cell journal lines.  The
-    column runs in-process (``jobs``, ``cell_timeout``, ``retries``, and
-    ``cell_fn`` apply to the scalar backend and are rejected here); with
-    ``farm`` set, each column becomes one durable lease instead.
-
     ``farm`` (a :class:`~repro.farm.lease.FarmSpec`) hands execution to
     the fault-tolerant sweep farm (:mod:`repro.farm`): cells become
     durable lease records in a shared directory, stateless workers —
@@ -675,25 +598,6 @@ def run_matrix(
     """
     if on_error not in ("raise", "record"):
         raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
-    if backend not in MATRIX_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {MATRIX_BACKENDS}, got {backend!r}"
-        )
-    if backend == "vector":
-        if cell_fn is not None:
-            raise ValueError("cell_fn applies to the scalar backend only")
-        # With a farm, cell_timeout/retries govern the column leases; in
-        # process there is no per-cell isolation to apply them to.
-        clash = [name for name, bad in (
-            ("jobs", jobs > 1), ("cell_timeout", cell_timeout is not None),
-            ("retries", retries > 0),
-        ) if bad]
-        if clash and farm is None:
-            raise ValueError(
-                f"backend='vector' runs whole columns in one process; "
-                f"{', '.join(clash)} only apply to the scalar backend "
-                f"(use farm=... to distribute columns)"
-            )
     spec = spec or RunSpec()
     user_cell_fn = cell_fn
     cell_fn = cell_fn or run_one
@@ -738,11 +642,7 @@ def run_matrix(
             todo, width, spec, farm, sweep_journal, on_cell_done,
             cell_timeout=cell_timeout, retries=retries,
             retry_backoff=retry_backoff, cell_fn=user_cell_fn,
-            on_progress=farm_progress, backend=backend,
-        )
-    elif backend == "vector" and todo:
-        _run_cells_vector(
-            todo, width, spec, traces or _GLOBAL_TRACES, on_cell_done,
+            on_progress=farm_progress,
         )
     elif isolate:
         _run_cells_isolated(

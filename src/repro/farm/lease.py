@@ -51,6 +51,7 @@ from repro.retry import backoff_delay  # noqa: F401 — canonical home is
 #                                        the pre-transport import sites.
 from repro.store import (
     ArtifactError,
+    SchemaMismatch,
     atomic_write_bytes,
     create_exclusive_bytes,
     envelope_bytes,
@@ -63,6 +64,32 @@ CELL_KIND = "farm-cell"
 LEASE_KIND = "farm-lease"
 RESULT_KIND = "farm-result"
 FARM_SCHEMA = 1
+
+
+#: Fields an earlier version's batched vector backend added to cell and
+#: result records, with the value every scalar record held.  Roots
+#: written before its removal still carry them; a record holding any
+#: other value is a vector *column*, which this version cannot run.
+_RETIRED_CELL_FIELDS = {"backend": "scalar", "lanes": None}
+_RETIRED_RESULT_FIELDS = {"lane_stats": None, "lane_errors": None}
+
+
+def _strip_retired(data: Dict, retired: Dict, kind: str,
+                   path: str) -> Dict:
+    """``data`` without the ``retired`` fields, which must hold their
+    old scalar defaults; raises :class:`SchemaMismatch` naming the cell
+    otherwise."""
+    data = dict(data)
+    for name, default in retired.items():
+        value = data.pop(name, default)
+        if value != default:
+            raise SchemaMismatch(
+                f"cell {data.get('key')!r} (cid {data.get('cid')}) is a "
+                f"vector-backend column ({name}={value!r}); that backend "
+                f"was removed, so re-run the sweep on a fresh farm root",
+                path=path, kind=kind, found=value, expected=default,
+            )
+    return data
 
 
 def cid_of(key: str) -> str:
@@ -139,21 +166,14 @@ class CellSpec:
     #: eviction, broker drain).  Releases are not cell failures, so the
     #: retry budget only counts ``attempt - 1 - released`` against them.
     released: int = 0
-    #: ``scalar`` (default) or ``vector``.  A vector cell is a whole
-    #: *column*: one lease covers every lane in ``lanes``, executed as a
-    #: single batched job on :mod:`repro.vector`.
-    backend: str = "scalar"
-    #: Column lanes as ``[benchmark, scheme]`` pairs (vector cells only;
-    #: ``benchmark``/``scheme`` above then hold the first lane's values
-    #: for display).  Plain lists, not tuples: this round-trips JSON.
-    lanes: Optional[List] = None
 
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "CellSpec":
-        return cls(**data)
+    def from_dict(cls, data: Dict, path: str = "<cell record>") -> "CellSpec":
+        return cls(**_strip_retired(data, _RETIRED_CELL_FIELDS, CELL_KIND,
+                                    path))
 
 
 def write_cell(paths: FarmPaths, cell: CellSpec) -> None:
@@ -165,7 +185,7 @@ def write_cell(paths: FarmPaths, cell: CellSpec) -> None:
 
 def read_cell(path: str) -> CellSpec:
     data, _meta = read_json_artifact(path, CELL_KIND, allow_legacy=False)
-    return CellSpec.from_dict(data)
+    return CellSpec.from_dict(data, path)
 
 
 def list_cells(paths: FarmPaths) -> List[str]:
@@ -352,20 +372,15 @@ class CellResult:
     #: checkpoint's cycle when the attempt resumed a reclaimed cell.
     start_cycle: int = 0
     elapsed: float = 0.0
-    #: Column (vector-backend) results: lane key (``benchmark|scheme``)
-    #: -> ``SimStats.to_dict()`` for lanes that completed, and -> a
-    #: ``{"error_type", "message"}`` record for lanes that failed
-    #: deterministically.  ``stats`` stays None for column cells; the
-    #: broker fans these out into per-cell journal lines.
-    lane_stats: Optional[Dict] = None
-    lane_errors: Optional[Dict] = None
 
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "CellResult":
-        return cls(**data)
+    def from_dict(cls, data: Dict,
+                  path: str = "<result record>") -> "CellResult":
+        return cls(**_strip_retired(data, _RETIRED_RESULT_FIELDS,
+                                    RESULT_KIND, path))
 
 
 def write_result(paths: FarmPaths, result: CellResult) -> None:
@@ -377,7 +392,7 @@ def write_result(paths: FarmPaths, result: CellResult) -> None:
 
 def read_result(path: str) -> CellResult:
     data, _meta = read_json_artifact(path, RESULT_KIND, allow_legacy=False)
-    return CellResult.from_dict(data)
+    return CellResult.from_dict(data, path)
 
 
 def list_results(paths: FarmPaths) -> List[str]:

@@ -173,12 +173,6 @@ def _execute_cell(
             start_cycle=0, elapsed=time.monotonic() - started,
         )
 
-    if cell.backend == "vector":
-        return _execute_column(
-            transport, cell, lease, options, chaos, evict, traces, spec,
-            started,
-        )
-
     config = resolve_config(cell.scheme, cell.width, spec)
     trace = traces.get(cell.benchmark, spec)
     ckpt = checkpoint_path(cell.benchmark, cell.scheme, cell.width, spec)
@@ -257,100 +251,6 @@ def _execute_cell(
         attempt=cell.attempt, status="ok", stats=stats.to_dict(),
         start_cycle=state["start_cycle"],
         elapsed=time.monotonic() - started,
-    )
-
-
-def _execute_column(
-    transport: Transport,
-    cell: CellSpec,
-    lease,
-    options: WorkerOptions,
-    chaos: WorkerChaos,
-    evict: _EvictFlag,
-    traces,
-    spec,
-    started: float,
-) -> CellResult:
-    """Run one leased *column* (a vector-backend cell) to completion.
-
-    The whole column is one lease: the engine's cycle hook heartbeats
-    and honors eviction exactly like the scalar path.  Columns are not
-    checkpointed mid-run (a forked machine fleet has no single snapshot
-    point), so an evicted column is handed back whole and restarts —
-    the lease's voluntary-release accounting already makes that free of
-    retry budget.  Per-lane deterministic failures land in
-    ``lane_errors``; they never poison sibling lanes.
-    """
-    from repro.experiments.runner import lane_key, resolve_config
-    from repro.vector import Lane, run_column
-
-    state = {"zombie": False, "last_hb": time.monotonic()}
-
-    def cycle_hook(m) -> None:
-        if evict.requested:
-            raise Evicted(m)
-        if m.now & 31:
-            return
-        chaos.check(m)
-        if chaos.drop_lease and not state["zombie"]:
-            try:
-                transport.release(lease)
-            except TransportError:
-                pass
-            state["zombie"] = True
-        if chaos.stalled:
-            time.sleep(chaos.stall_delay)
-            return
-        if state["zombie"]:
-            return
-        now = time.monotonic()
-        if now - state["last_hb"] >= options.heartbeat_interval:
-            state["last_hb"] = now
-            try:
-                transport.heartbeat(lease, cycle=m.now,
-                                    committed=m.stats.committed)
-            except (LeaseLost, Fenced):
-                state["zombie"] = True
-            except TransportUnavailable as exc:
-                raise Parked(exc) from exc  # columns carry no checkpoint
-
-    lanes = []
-    lengths = {}
-    for benchmark, scheme in cell.lanes:
-        trace = traces.get(benchmark, spec)
-        key = lane_key(benchmark, scheme)
-        lengths[key] = len(trace)
-        lanes.append(Lane(
-            key=key,
-            config=resolve_config(scheme, cell.width, spec),
-            trace=trace,
-        ))
-    outcome = run_column(lanes, max_cycles=spec.max_cycles,
-                         cycle_hook=cycle_hook)
-    lane_stats: dict = {}
-    lane_errors: dict = {}
-    for lane in lanes:
-        result = outcome.results[lane.key]
-        error = result.error
-        if (error is None and spec.max_cycles is not None
-                and result.stats.committed < lengths[lane.key]):
-            error = SimulationError(
-                f"cycle-limit watchdog: {lane.key.replace('|', '/')} "
-                f"committed only {result.stats.committed}/"
-                f"{lengths[lane.key]} instructions in "
-                f"{spec.max_cycles} cycles"
-            )
-        if error is not None:
-            lane_errors[lane.key] = {
-                "error_type": type(error).__name__, "message": str(error),
-            }
-        else:
-            lane_stats[lane.key] = result.stats.to_dict()
-    return CellResult(
-        cid=cell.cid, key=cell.key, worker=lease.worker,
-        attempt=cell.attempt, status="ok",
-        lane_stats=lane_stats, lane_errors=lane_errors,
-        start_cycle=0, elapsed=time.monotonic() - started,
     )
 
 

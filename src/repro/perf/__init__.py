@@ -29,24 +29,16 @@ from repro.perf.bench import (
     run_bench,
     write_bench,
 )
-from repro.perf.compare import (
-    BackendDimensionMissing,
-    CompareResult,
-    compare_payloads,
-    parse_threshold,
-    vector_ratio,
-)
+from repro.perf.compare import CompareResult, compare_payloads, parse_threshold
 
 __all__ = [
     "BENCH_KIND",
     "BENCH_SCHEMA",
-    "BackendDimensionMissing",
     "CompareResult",
     "compare_payloads",
     "default_bench_path",
     "parse_threshold",
     "read_bench",
     "run_bench",
-    "vector_ratio",
     "write_bench",
 ]

@@ -25,11 +25,7 @@ from repro.perf.bench import (
     run_bench,
     write_bench,
 )
-from repro.perf.compare import (
-    BackendDimensionMissing,
-    compare_payloads,
-    parse_threshold,
-)
+from repro.perf.compare import compare_payloads, parse_threshold
 from repro.store import ArtifactError
 
 
@@ -51,11 +47,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--rounds", type=int, default=DEFAULT_ROUNDS,
         help=f"timing rounds per config, best kept (default {DEFAULT_ROUNDS})",
     )
-    bench.add_argument(
-        "--min-ratio", type=float, default=None, metavar="X",
-        help="fail (exit 1) unless every config's vector-backend speedup "
-             "ratio is at least X (the CI vector gate)",
-    )
 
     compare = sub.add_parser(
         "compare", help="diff two bench artifacts; non-zero on regression"
@@ -65,12 +56,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     compare.add_argument(
         "--threshold", default="15%", metavar="PCT",
         help="allowed throughput drop, e.g. '15%%' or '0.15' (default 15%%)",
-    )
-    compare.add_argument(
-        "--min-ratio", type=float, default=None, metavar="X",
-        help="also gate the current artifact's vector-backend speedup "
-             "ratio at X; a current artifact without the backend "
-             "dimension is a typed error",
     )
 
     latest = sub.add_parser(
@@ -100,7 +85,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = args.out or default_bench_path()
         write_bench(out, payload)
         print(f"wrote {out}")
-        gate_failures = []
         for name, cfg in sorted(payload["configs"].items()):
             print(
                 f"  {name}: {cfg['cycles_per_sec']:,.0f} cycles/s, "
@@ -108,29 +92,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"({cfg['seconds'] * 1000:.1f} ms best of "
                 f"{payload['rounds']})"
             )
-            vector = cfg.get("vector")
-            if vector:
-                print(
-                    f"    vector: {len(vector['lanes'])} lanes in "
-                    f"{vector['groups']} group(s), {vector['forks']} "
-                    f"fork(s); {vector['cycles_per_sec']:,.0f} vs "
-                    f"{vector['scalar_cycles_per_sec']:,.0f} cycles/s "
-                    f"= {vector['speedup_ratio']:.1f}x"
-                )
-            if args.min_ratio is not None:
-                if not vector or "speedup_ratio" not in vector:
-                    print(f"    vector: MISSING (numpy unavailable?) — "
-                          f"cannot gate at {args.min_ratio:.1f}x",
-                          file=sys.stderr)
-                    gate_failures.append(name)
-                elif vector["speedup_ratio"] < args.min_ratio:
-                    print(f"    vector: ratio below the "
-                          f"{args.min_ratio:.1f}x gate", file=sys.stderr)
-                    gate_failures.append(name)
-        if gate_failures:
-            print(f"perf bench: vector ratio gate FAILED for "
-                  f"{', '.join(gate_failures)}", file=sys.stderr)
-            return 1
         return 0
 
     try:
@@ -144,12 +105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"perf compare: unreadable bench artifact: {exc}",
               file=sys.stderr)
         return 1
-    try:
-        result = compare_payloads(baseline, current, threshold=limit,
-                                  min_ratio=args.min_ratio)
-    except BackendDimensionMissing as exc:
-        print(f"perf compare: {exc}", file=sys.stderr)
-        return 1
+    result = compare_payloads(baseline, current, threshold=limit)
     for line in result.lines:
         print(line)
     print(result.summary())

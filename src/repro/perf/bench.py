@@ -8,15 +8,6 @@ construction — exactly the shape the pytest benchmark times — so a
 bench artifact and the benchmark suite agree on what "throughput"
 means.
 
-Schema 2 adds a **backend dimension** per config: alongside the scalar
-single-run timing, each config's Figure-9-style PRF sweep column
-(:data:`BENCH_COLUMN_SIZES`, 8 lanes) is timed twice — once as eight
-scalar runs, once as one batched column on :mod:`repro.vector` — and
-the aggregate cycles/sec plus the ``speedup_ratio`` between them are
-recorded, together with the honest cost accounting (coherence groups,
-forks, machine-cycles actually simulated).  The vector dimension is
-skipped, not faked, when numpy is unavailable.
-
 The artifact is a :mod:`repro.store` envelope (kind ``bench``, schema
 :data:`BENCH_SCHEMA`), so corruption is detected at load time and
 ``python -m repro.store fsck`` can audit a tree of them.
@@ -48,9 +39,9 @@ from repro.workloads import generate_trace
 BENCH_KIND = "bench"
 BENCH_SCHEMA = 2
 
-#: Schemas :func:`read_bench` understands.  Schema 1 artifacts (no
-#: backend dimension) remain readable so the committed CI baseline keeps
-#: working; ratio gating against one raises a typed error in ``compare``.
+#: Schemas :func:`read_bench` understands.  Schema-2 artifacts written
+#: by earlier versions may carry a per-config ``vector`` entry from a
+#: since-removed backend; readers ignore it.  Schema 1 has none.
 READABLE_SCHEMAS: Tuple[int, ...] = (1, 2)
 
 #: The measured machine configurations, in report order.
@@ -58,13 +49,6 @@ BENCH_CONFIGS: Tuple[str, ...] = ("base", "pri")
 
 #: The trace every config is timed on (mirrors the benchmark suite).
 DEFAULT_TRACE = {"benchmark": "gzip", "length": 2000, "seed": 5, "warmup": 4000}
-
-#: The 8-lane PRF sweep column the vector dimension measures: the upper
-#: (saturated) half of a Figure-9 size sweep, where lanes rarely hit
-#: register exhaustion and therefore share one machine.  The per-config
-#: ``groups``/``forks`` counters record how much sharing actually
-#: happened, so the ratio is auditable rather than assumed.
-BENCH_COLUMN_SIZES: Tuple[int, ...] = (256, 288, 320, 352, 384, 416, 448, 480)
 
 DEFAULT_ROUNDS = 5
 
@@ -103,75 +87,16 @@ def _peak_rss_kb() -> Optional[int]:
     return usage
 
 
-def _bench_column(cfg, trace, rounds: int,
-                  sizes: Tuple[int, ...]) -> Optional[Dict[str, Any]]:
-    """Time ``cfg``'s PRF sweep column both ways; None without numpy.
-
-    The scalar leg runs each size as its own machine (what a sweep
-    would have cost before this backend existed); the vector leg runs
-    the identical lanes as one batched column.  Both legs are
-    best-of-``rounds`` including machine construction, and the aggregate
-    throughput counts the *scalar-equivalent* cycles — the per-lane
-    cycle totals — for both, so the two ``cycles_per_sec`` figures (and
-    their ratio) measure the same work.
-    """
-    try:
-        from repro.vector import Lane, run_column
-    except ImportError:
-        return None
-
-    configs = [cfg.with_phys_regs(size) for size in sizes]
-    scalar_best = None
-    lane_cycles = 0
-    for _ in range(max(1, rounds)):
-        t0 = time.perf_counter()
-        lane_cycles = sum(Machine(c).run(trace).cycles for c in configs)
-        elapsed = time.perf_counter() - t0
-        if scalar_best is None or elapsed < scalar_best:
-            scalar_best = elapsed
-    vector_best = None
-    outcome = None
-    for _ in range(max(1, rounds)):
-        lanes = [Lane(key=str(size), config=c, trace=trace)
-                 for size, c in zip(sizes, configs)]
-        t0 = time.perf_counter()
-        outcome = run_column(lanes)
-        elapsed = time.perf_counter() - t0
-        if vector_best is None or elapsed < vector_best:
-            vector_best = elapsed
-    return {
-        "lanes": list(sizes),
-        "groups": outcome.groups,
-        "forks": outcome.forks,
-        #: Scalar-equivalent work: summed per-lane cycle counts.
-        "lane_cycles": lane_cycles,
-        #: Machine-cycles the column actually simulated (sharing makes
-        #: this smaller than lane_cycles; the gap is the speedup source).
-        "cycles_simulated": outcome.cycles_simulated,
-        "seconds": vector_best,
-        "scalar_sweep_seconds": scalar_best,
-        "cycles_per_sec": lane_cycles / vector_best if vector_best else 0.0,
-        "scalar_cycles_per_sec": (
-            lane_cycles / scalar_best if scalar_best else 0.0
-        ),
-        "speedup_ratio": (
-            scalar_best / vector_best if vector_best else 0.0
-        ),
-    }
-
-
 def run_bench(
     rounds: int = DEFAULT_ROUNDS,
     trace_spec: Optional[Dict[str, Any]] = None,
     configs: Tuple[str, ...] = BENCH_CONFIGS,
-    column_sizes: Tuple[int, ...] = BENCH_COLUMN_SIZES,
 ) -> Dict[str, Any]:
     """Time each config and return a schema-``BENCH_SCHEMA`` payload.
 
     ``trace_spec`` overrides the measured trace (tests use a tiny one);
     the spec is recorded in the payload so ``compare`` can refuse to
-    diff measurements of different workloads.  ``column_sizes`` sets the
-    vector dimension's sweep column (empty tuple skips it).
+    diff measurements of different workloads.
     """
     spec = dict(DEFAULT_TRACE, **(trace_spec or {}))
     trace = generate_trace(
@@ -196,10 +121,6 @@ def run_bench(
             "cycles_per_sec": stats.cycles / best if best else 0.0,
             "instrs_per_sec": stats.committed / best if best else 0.0,
         }
-        if column_sizes:
-            vector = _bench_column(cfg, trace, rounds, tuple(column_sizes))
-            if vector is not None:
-                results[name]["vector"] = vector
     return {
         "schema": BENCH_SCHEMA,
         "created": datetime.date.today().isoformat(),
@@ -260,8 +181,7 @@ def read_bench(path: str) -> Tuple[Dict[str, Any], ArtifactMeta]:
     """Load and verify a bench artifact; raises the typed
     :class:`~repro.store.ArtifactError` family on damage or schema
     drift (no legacy plain-JSON fallback — bench files postdate the
-    store).  Accepts every schema in :data:`READABLE_SCHEMAS` — a
-    schema-1 baseline simply has no per-config ``vector`` dimension."""
+    store).  Accepts every schema in :data:`READABLE_SCHEMAS`."""
     payload, meta = read_json_artifact(path, BENCH_KIND, allow_legacy=False)
     if meta.schema not in READABLE_SCHEMAS:
         raise SchemaMismatch(

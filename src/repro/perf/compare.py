@@ -8,49 +8,19 @@ strictly below 85% of the baseline's throughput to fail, so an exact
 15% drop still passes and any improvement always passes.  A config
 present in the baseline but missing from the current run fails — a
 silently dropped measurement must not read as "no regression".
-
-Schema-2 artifacts additionally carry a per-config **vector backend**
-dimension (see :mod:`repro.perf.bench`); ``compare`` prints its
-speedup ratio alongside each config and, with ``min_ratio`` set, gates
-on it.  Gating against an artifact that predates the dimension raises
-:class:`BackendDimensionMissing` — a typed, actionable error, not a
-``KeyError`` from deep inside a dict walk.
+Only :data:`METRIC` is compared; any other per-config entry (such as
+the ``vector`` entry older schema-2 artifacts carry) is ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 DEFAULT_THRESHOLD = 0.15
 
 #: The throughput figure regressions are judged on.
 METRIC = "cycles_per_sec"
-
-
-class BackendDimensionMissing(ValueError):
-    """A ratio gate (or ratio diff) needs the per-config ``vector``
-    backend dimension, but the artifact predates it (schema 1, or a
-    schema-2 run where numpy was unavailable).  Regenerate the artifact
-    with ``python -m repro.perf bench`` in an environment with numpy."""
-
-    def __init__(self, which: str, config: str) -> None:
-        self.which = which
-        self.config = config
-        super().__init__(
-            f"{which} bench artifact has no vector-backend dimension for "
-            f"config {config!r} (schema-1 artifact, or benched without "
-            f"numpy); regenerate it with `python -m repro.perf bench`"
-        )
-
-
-def vector_ratio(payload: Dict[str, Any], config: str, which: str) -> float:
-    """The recorded vector-over-scalar speedup ratio for ``config``.
-    Raises :class:`BackendDimensionMissing` when the artifact has none."""
-    vector = payload.get("configs", {}).get(config, {}).get("vector")
-    if not vector or "speedup_ratio" not in vector:
-        raise BackendDimensionMissing(which, config)
-    return vector["speedup_ratio"]
 
 
 def parse_threshold(text: str) -> float:
@@ -90,16 +60,8 @@ def compare_payloads(
     baseline: Dict[str, Any],
     current: Dict[str, Any],
     threshold: float = DEFAULT_THRESHOLD,
-    min_ratio: Optional[float] = None,
 ) -> CompareResult:
-    """Compare per-config throughput; populate human-readable lines.
-
-    The vector backend's speedup ratio is shown per config whenever the
-    current artifact carries it (informationally, with the baseline's
-    ratio for context when both have one).  ``min_ratio`` turns it into
-    a gate: every current config must have a ratio of at least
-    ``min_ratio`` or the comparison fails, and a current config with
-    *no* vector dimension raises :class:`BackendDimensionMissing`."""
+    """Compare per-config throughput; populate human-readable lines."""
     result = CompareResult(threshold=threshold)
     if baseline.get("trace") != current.get("trace"):
         result.failures.append("trace")
@@ -134,24 +96,6 @@ def compare_payloads(
         if change < -threshold:
             result.failures.append(name)
             line += f"  REGRESSION (limit -{threshold:.1%})"
-        cur_vec = cur.get("vector")
-        if min_ratio is not None and (
-            not cur_vec or "speedup_ratio" not in cur_vec
-        ):
-            raise BackendDimensionMissing("current", name)
-        if cur_vec and "speedup_ratio" in cur_vec:
-            ratio = cur_vec["speedup_ratio"]
-            base_vec = base.get("vector") or {}
-            if "speedup_ratio" in base_vec:
-                line += (f", vector {base_vec['speedup_ratio']:.1f}x -> "
-                         f"{ratio:.1f}x")
-            else:
-                line += f", vector {ratio:.1f}x (no baseline ratio)"
-            if min_ratio is not None and ratio < min_ratio:
-                result.failures.append(f"{name}:vector-ratio")
-                line += (f"  RATIO BELOW GATE "
-                         f"(need >= {min_ratio:.1f}x at "
-                         f"{len(cur_vec.get('lanes', []))} lanes)")
         result.lines.append(line)
     for name in sorted(set(cur_configs) - set(base_configs)):
         result.lines.append(f"{name}: new config (no baseline) — informational")

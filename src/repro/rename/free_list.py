@@ -9,21 +9,12 @@ Two allocation policies are supported:
 
 ``ordered``
     Always allocate the lowest-numbered free register (a min-heap).
-    This is the default, and it is what makes the batched lockstep
-    backend (:mod:`repro.vector`) possible: with lowest-first
-    allocation, a machine with ``C2 > C1`` physical registers pops the
-    *exact same* register sequence as a ``C1``-register machine until
-    the moment the smaller machine's free list empties — the extra
-    registers ``C1..C2-1`` are all numerically above every member of
-    the shared free set, so the min never differs.  A capacity sweep
-    can therefore share one simulation and fork only at the first
-    register-exhaustion stall.
+    This is the default; every config digest hashes it, so changing the
+    default would move every cached and journaled result.
 
 ``fifo``
     Classic circular free list: registers come back out in the order
-    they were released.  Kept for modeling comparisons; FIFO recycling
-    breaks the capacity-monotonicity property above, so FIFO configs
-    are never capacity-grouped by the vector backend.
+    they were released.  Kept for modeling comparisons.
 """
 
 from __future__ import annotations
@@ -117,22 +108,6 @@ class FreeList:
             self._queue.append(preg)
         self._free.add(preg)
         return True
-
-    # ------------------------------------------------- capacity extension
-
-    def extend_range(self, start: int, stop: int) -> None:
-        """Add fresh, never-allocated registers ``start..stop-1`` to the
-        free set — the vector backend's fork-at-exhaustion step.  The new
-        registers must not already be tracked."""
-        fresh = range(start, stop)
-        if any(p in self._free for p in fresh):
-            raise ValueError("extension overlaps existing free registers")
-        self._free.update(fresh)
-        if self.policy == "ordered":
-            for preg in fresh:
-                heapq.heappush(self._queue, preg)
-        else:
-            self._queue.extend(fresh)
 
     # --------------------------------------------------- (de)serialization
 

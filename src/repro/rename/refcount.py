@@ -24,17 +24,6 @@ class RefCountTable:
         self._checkpoint: List[int] = [0] * num_physical
         self._er_checkpoint: List[int] = [0] * num_physical
 
-    def extend(self, new_num_physical: int) -> None:
-        """Grow to ``new_num_physical`` registers, new counts all zero
-        (the vector backend's fork-at-exhaustion step)."""
-        added = new_num_physical - self.num_physical
-        if added < 0:
-            raise ValueError("refcount table cannot shrink")
-        self._consumer.extend([0] * added)
-        self._checkpoint.extend([0] * added)
-        self._er_checkpoint.extend([0] * added)
-        self.num_physical = new_num_physical
-
     # --------------------------------------------------------- consumers
 
     def add_consumer(self, preg: int) -> None:

@@ -69,7 +69,8 @@ def main(argv=None) -> int:
     serve.add_argument("root", help="state directory (journal + cache)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8700)
-    serve.add_argument("--backend", default="auto", choices=SERVE_BACKENDS)
+    serve.add_argument("--backend", default=SERVE_BACKENDS[0],
+                       choices=SERVE_BACKENDS)
     serve.add_argument("--batch-window", type=float, default=BATCH_WINDOW,
                        help="seconds to linger so bursts coalesce")
     serve.add_argument("--farm-workers", type=int, default=2)

@@ -4,15 +4,11 @@ The server's submit path answers cache hits itself; what reaches this
 module is the deduplicated cold-miss stream, already grouped into
 batches of jobs that share every trace-shaping knob
 (:meth:`~repro.serve.jobs.JobSpec.batch_key`).  A batch runs on one of
-three backends:
+two backends:
 
-``vector``
-    All jobs become lanes of one :func:`repro.vector.run_column` call.
-    The column planner coalesces lanes that share a trace and differ
-    only in PRF capacity (exactly the ``regs``-sweep misses a Figure-9
-    style client fires) onto one machine, forked at the first capacity
-    stall — N capacity-differing misses cost far less than N
-    simulations, with bit-identical per-lane stats.
+``scalar``
+    One in-process simulation per job; jobs on the same benchmark share
+    one generated trace.  The default.
 
 ``farm``
     Jobs are injected programmatically into the sweep farm
@@ -20,11 +16,6 @@ three backends:
     callbacks fan results back per job.  Jobs carrying a ``regs``
     override run locally instead (a farm cell's config is derived from
     its (scheme, width, spec) key alone).
-
-``scalar``
-    One in-process simulation per job — the fallback that needs nothing
-    but the core machine, and the path ``auto`` degrades to when numpy
-    is unavailable.
 
 Every result carries cost accounting — cycles simulated, instructions
 committed, wall seconds, backend, batch fan-in — which the server
@@ -39,9 +30,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.serve.jobs import JobSpec
 
-#: Backend names the server accepts.  ``auto`` = vector when numpy
-#: imports, scalar otherwise.
-SERVE_BACKENDS = ("auto", "scalar", "vector", "farm")
+#: Backend names the server accepts; the first is the default.
+SERVE_BACKENDS = ("scalar", "farm")
 
 
 @dataclass
@@ -54,21 +44,11 @@ class JobResult:
     cost: Dict = field(default_factory=dict)
 
 
-def _vector_available() -> bool:
-    try:
-        import repro.vector  # noqa: F401 — probe only
-    except ImportError:
-        return False
-    return True
-
-
 def resolve_backend(requested: str) -> str:
-    """Map ``auto`` to a concrete backend for this interpreter."""
+    """Validate a backend name; returns it unchanged."""
     if requested not in SERVE_BACKENDS:
         raise ValueError(
             f"backend must be one of {SERVE_BACKENDS}, got {requested!r}")
-    if requested == "auto":
-        return "vector" if _vector_available() else "scalar"
     return requested
 
 
@@ -113,7 +93,7 @@ class BatchExecutor:
     """Runs batches of cold misses; stateless between batches except
     for the trace cache."""
 
-    def __init__(self, backend: str = "auto",
+    def __init__(self, backend: str = "scalar",
                  farm_options: Optional[FarmOptions] = None) -> None:
         self.backend = resolve_backend(backend)
         if self.backend == "farm" and farm_options is None:
@@ -129,11 +109,6 @@ class BatchExecutor:
         per-job failure — errors come back as structured results."""
         if not specs:
             return {}
-        if self.backend == "vector":
-            try:
-                return self._run_vector(specs)
-            except ImportError:
-                return self._run_scalar(specs)
         if self.backend == "farm":
             farmable = [s for s in specs if s.regs is None]
             local = [s for s in specs if s.regs is not None]
@@ -178,53 +153,6 @@ class BatchExecutor:
                            "message": str(exc)},
                     cost=_cost("scalar", 0, 0, elapsed, batch_jobs=1),
                 )
-        return out
-
-    # ----------------------------------------------------------- vector
-
-    def _run_vector(self, specs: List[JobSpec]) -> Dict[str, JobResult]:
-        from repro.core.machine import SimulationError
-        from repro.vector import Lane, run_column
-
-        lanes = []
-        lengths: Dict[str, int] = {}
-        max_cycles = specs[0].max_cycles
-        for spec in specs:
-            trace = self._traces.get(spec)
-            lengths[spec.job_id()] = len(trace)
-            lanes.append(Lane(key=spec.job_id(), config=spec.config(),
-                              trace=trace))
-        started = time.perf_counter()
-        outcome = run_column(lanes, max_cycles=max_cycles)
-        elapsed = time.perf_counter() - started
-        out: Dict[str, JobResult] = {}
-        share = elapsed / max(1, len(specs))
-        for spec in specs:
-            job_id = spec.job_id()
-            result = outcome.results[job_id]
-            error = result.error
-            if (error is None and max_cycles is not None
-                    and result.stats.committed < lengths[job_id]):
-                error = SimulationError(
-                    f"cycle-limit watchdog: {spec.benchmark}/{spec.scheme} "
-                    f"committed only {result.stats.committed}/"
-                    f"{lengths[job_id]} instructions in {max_cycles} cycles")
-            cost = _cost("vector",
-                         result.stats.cycles if result.stats else 0,
-                         result.stats.committed if result.stats else 0,
-                         share, batch_jobs=len(specs),
-                         groups=outcome.groups, forks=outcome.forks,
-                         batch_cycles_simulated=outcome.cycles_simulated)
-            if error is not None:
-                out[job_id] = JobResult(
-                    status="error",
-                    error={"error_type": type(error).__name__,
-                           "message": str(error)},
-                    cost=cost)
-            else:
-                out[job_id] = JobResult(status="ok",
-                                        stats=result.stats.to_dict(),
-                                        cost=cost)
         return out
 
     # ------------------------------------------------------------- farm

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
+from repro.isa.registers import NUM_INT_ARCH_REGS
 from repro.store.errors import DigestMismatch, MalformedRecord
 from repro.store.integrity import (
     append_checked_line,
@@ -66,8 +67,7 @@ class JobSpec:
     """One simulation request, fully normalized.
 
     ``regs`` overrides both physical register file capacities (the
-    Figure 9 sweep axis); submissions differing only in ``regs`` are
-    exactly the misses the vector backend coalesces into one column.
+    Figure 9 sweep axis).
     """
 
     benchmark: str
@@ -117,8 +117,8 @@ class JobSpec:
     def batch_key(self) -> Tuple:
         """Jobs sharing this tuple can run as one executor batch (same
         trace-shaping knobs and width; they differ only in benchmark,
-        scheme, or PRF capacity — the axes one vector column or one farm
-        publish round can carry)."""
+        scheme, or PRF capacity — the axes one farm publish round can
+        carry)."""
         return (self.width, self.length, self.warmup, self.seed,
                 self.max_cycles)
 
@@ -185,7 +185,8 @@ def parse_job(data: Dict) -> JobSpec:
         warmup=_int("warmup", 20000, 0, 10_000_000),
         seed=_int("seed", 1, 0, 2**31 - 1),
         max_cycles=_int("max_cycles", None, 1, 2**31 - 1, optional=True),
-        regs=_int("regs", None, 1, 65536, optional=True),
+        # Fewer registers than the architected state can never commit.
+        regs=_int("regs", None, NUM_INT_ARCH_REGS, 65536, optional=True),
     )
 
 

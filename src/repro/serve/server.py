@@ -15,10 +15,9 @@ demand collapsing, cheapest first:
    dedup is structural, not a lookup table that can drift.
 3. **Batch coalescing** — cold misses are queued, collected for a short
    batch window, grouped by :meth:`~repro.serve.jobs.JobSpec.batch_key`,
-   and handed to the executor — where the vector backend's column
-   planner merges capacity-only-differing misses onto shared machines
-   (:mod:`repro.vector.column`), and the farm backend fans a batch out
-   across workers.
+   and handed to the executor — where jobs on the same benchmark share
+   one generated trace, and the farm backend fans a batch out across
+   workers.
 
 Durability contract: a submission is **acked** (the HTTP response says
 ``queued``) only after its ``queued`` transition is fsynced into the
@@ -55,7 +54,7 @@ from repro.serve.jobs import JobError, JobJournal, JobSpec, parse_job
 RID_CACHE_SIZE = 4096
 
 #: Default seconds the executor waits after the first queued job so that
-#: a burst of submissions lands in one batch (and one vector column).
+#: a burst of submissions lands in one batch (and shares its traces).
 BATCH_WINDOW = 0.05
 
 #: Upper bound a single ``/wait`` long-poll may block, seconds.
@@ -69,7 +68,7 @@ class ServeState:
     variable wakes the executor (new work) and long-pollers (job done).
     """
 
-    def __init__(self, root: str, backend: str = "auto",
+    def __init__(self, root: str, backend: str = "scalar",
                  batch_window: float = BATCH_WINDOW,
                  farm_workers: int = 2) -> None:
         self.root = root
@@ -479,7 +478,7 @@ class ServeServer:
     runs the same thing in the foreground."""
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
-                 backend: str = "auto", batch_window: float = BATCH_WINDOW,
+                 backend: str = "scalar", batch_window: float = BATCH_WINDOW,
                  farm_workers: int = 2, verbose: bool = False) -> None:
         self.state = ServeState(root, backend=backend,
                                 batch_window=batch_window,

@@ -68,19 +68,6 @@ class TestAllocate:
         assert not rf.inline_pending[preg]
         assert not rf.retire_pending[preg]
 
-    def test_extend_adds_fresh_registers(self, rf):
-        taken = [rf.allocate(0, 0, 0) for _ in range(8)]
-        assert rf.free_list.empty
-        rf.extend(12)
-        assert rf.num_regs == 12
-        assert len(rf.free_list) == 4
-        assert rf.allocate(0, 0, 0) == 8
-        assert rf.gen[9] == 0 and rf.state[9] == RegState.FREE
-        rf.assert_consistent()
-        assert all(p is not None for p in taken)
-        with pytest.raises(ValueError):
-            rf.extend(4)
-
 
 class TestRelease:
     def test_duplicate_release_tolerated(self, rf):

@@ -6,6 +6,9 @@ import os
 import pytest
 
 from repro.farm.lease import (
+    CELL_KIND,
+    FARM_SCHEMA,
+    RESULT_KIND,
     CellResult,
     CellSpec,
     FarmPaths,
@@ -25,6 +28,7 @@ from repro.farm.lease import (
     write_cell,
     write_result,
 )
+from repro.store import SchemaMismatch, atomic_write_bytes, envelope_bytes
 
 
 @pytest.fixture
@@ -197,6 +201,83 @@ def test_error_result_roundtrip(paths):
     back = read_result(path)
     assert back.kind == "crash"
     assert back.error_type == "LeaseExpired"
+
+
+# ------------------------------------------- roots from earlier versions
+#
+# Before the vector backend was removed, every cell file carried
+# ``backend``/``lanes`` and every result file ``lane_stats``/
+# ``lane_errors``.  Those files must still load.
+
+
+def _write_legacy(path, kind, payload):
+    atomic_write_bytes(path, envelope_bytes(kind, FARM_SCHEMA, payload))
+
+
+def test_pre_removal_cell_file_loads(paths):
+    cell = _cell()
+    _write_legacy(paths.cell(cell.cid), CELL_KIND,
+                  {**cell.to_dict(), "backend": "scalar", "lanes": None})
+    assert read_cell(paths.cell(cell.cid)) == cell
+
+
+def test_pre_removal_result_file_loads(paths):
+    cell = _cell()
+    result = CellResult(cid=cell.cid, key=cell.key, worker="w0", attempt=1,
+                        status="ok", stats={"committed": 300})
+    _write_legacy(paths.result(cell.cid, 1, "w0"), RESULT_KIND,
+                  {**result.to_dict(), "lane_stats": None,
+                   "lane_errors": None})
+    ((_cid, path),) = iter_results(paths)
+    assert read_result(path) == result
+
+
+def test_vector_column_cell_is_a_typed_error(paths):
+    key = "column|gcc|0123456789abcdef"
+    column = {**_cell(key).to_dict(), "backend": "vector",
+              "lanes": [["gcc", "base"], ["gcc", "inf"]]}
+    _write_legacy(paths.cell(cid_of(key)), CELL_KIND, column)
+    with pytest.raises(SchemaMismatch) as excinfo:
+        read_cell(paths.cell(cid_of(key)))
+    assert key in str(excinfo.value)
+    assert excinfo.value.path == paths.cell(cid_of(key))
+
+
+def test_vector_column_result_is_a_typed_error(paths):
+    cell = _cell()
+    column = {**CellResult(cid=cell.cid, key=cell.key, worker="w0",
+                           attempt=1, status="ok").to_dict(),
+              "lane_stats": {"gcc|base": {}}, "lane_errors": {}}
+    _write_legacy(paths.result(cell.cid, 1, "w0"), RESULT_KIND, column)
+    ((_cid, path),) = iter_results(paths)
+    with pytest.raises(SchemaMismatch, match=cell.key):
+        read_result(path)
+
+
+def test_pre_removal_root_resumes(tmp_path):
+    from repro.experiments import RunSpec, run_matrix
+    from repro.experiments.journal import cell_key
+    from repro.farm import FarmSpec
+
+    spec = RunSpec(length=300, warmup=600, seed=2)
+    farm = FarmSpec(root=str(tmp_path / "farm"), workers=1, lease_ttl=5.0,
+                    heartbeat_interval=0.1, poll_interval=0.05)
+    paths = farm.paths.ensure()
+    key = cell_key("gcc", "base", 4, spec)
+    old = CellSpec(cid=cid_of(key), key=key, benchmark="gcc", scheme="base",
+                   width=4, spec=dataclasses.asdict(spec), attempt=2)
+    _write_legacy(paths.cell(old.cid), CELL_KIND,
+                  {**old.to_dict(), "backend": "scalar", "lanes": None})
+    leftover = {**_cell("column|gcc|0123456789abcdef").to_dict(),
+                "backend": "vector", "lanes": [["gcc", "base"]]}
+    _write_legacy(paths.cell(cid_of(leftover["key"])), CELL_KIND, leftover)
+
+    result = run_matrix(["gcc"], ["base"], 4, spec, farm=farm)
+    plain = run_matrix(["gcc"], ["base"], 4, spec)
+    assert result["gcc"]["base"].to_dict() == plain["gcc"]["base"].to_dict()
+    # The resumed cell kept its attempt fence; the column was pruned.
+    assert read_cell(paths.cell(old.cid)).attempt == 2
+    assert list_cells(paths) == [old.cid]
 
 
 # --------------------------------------------------------------- backoff

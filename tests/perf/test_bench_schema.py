@@ -1,6 +1,8 @@
 """Bench artifact schema: envelope round-trip, compare gating, and
 corruption detection through the store's inject registry."""
 
+import os
+
 import pytest
 
 from repro.perf import (
@@ -169,6 +171,36 @@ class TestCLI:
         missing = str(tmp_path / "nope.json")
         with pytest.raises(FileNotFoundError):
             perf_main(["compare", base_path, missing])
+
+
+class TestCommittedBaselines:
+    """``compare`` keeps reading the committed baselines: schema 1, and
+    schema 2 whose per-config ``vector`` entries it ignores."""
+
+    DIRECTORY = os.path.join(os.path.dirname(__file__), "..", "..",
+                             "benchmarks")
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        # The committed baselines' own trace, so the two are comparable.
+        return run_bench(rounds=1)
+
+    @pytest.mark.parametrize("name", ["BENCH_2026-08-06.json",
+                                      "BENCH_2026-08-08.json"])
+    def test_fresh_artifact_compares(self, tmp_path, capsys, fresh, name):
+        baseline_path = os.path.join(self.DIRECTORY, name)
+        baseline, _ = read_bench(baseline_path)
+        assert "vector" not in fresh["configs"]["base"]
+        # The host's speed is not under test: only a total collapse fails.
+        result = compare_payloads(baseline, fresh, threshold=0.99)
+        assert result.ok, result.lines
+        assert len(result.lines) == len(baseline["configs"])
+        assert not any("vector" in line for line in result.lines)
+        current = str(tmp_path / "current.json")
+        write_bench(current, fresh)
+        assert perf_main(["compare", baseline_path, current,
+                          "--threshold", "0.99"]) == 0
+        assert "perf compare: ok" in capsys.readouterr().out
 
 
 class TestCorruption:

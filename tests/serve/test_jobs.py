@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.journal import cell_key
 from repro.farm.lease import cid_of
+from repro.isa.registers import NUM_INT_ARCH_REGS
 from repro.serve.jobs import (
     JobError,
     JobJournal,
@@ -71,6 +72,7 @@ def test_to_dict_round_trips_through_parse():
     {"benchmark": "gzip", "seed": True},
     {"benchmark": "gzip", "regs": 0},
     {"benchmark": "gzip", "surprise": 1},
+    {"benchmark": "gzip", "regs": NUM_INT_ARCH_REGS - 1},
 ])
 def test_parse_job_rejects(body):
     with pytest.raises(JobError):
@@ -80,6 +82,9 @@ def test_parse_job_rejects(body):
 def test_parse_job_defaults():
     spec = parse_job({"benchmark": "gzip"})
     assert spec == JobSpec(benchmark="gzip")
+    # The smallest PRF that holds the architected state is accepted.
+    smallest = parse_job({"benchmark": "gzip", "regs": NUM_INT_ARCH_REGS})
+    assert smallest.regs == NUM_INT_ARCH_REGS
 
 
 # ---------------------------------------------------------------- journal

@@ -160,27 +160,6 @@ def test_restart_answers_done_jobs_from_cache(tmp_path):
         srv2.stop()
 
 
-def test_vector_backend_bit_identical_to_scalar(tmp_path):
-    pytest.importorskip("numpy")
-    scalar = ServeServer(str(tmp_path / "a"), backend="scalar",
-                         batch_window=0.02).start()
-    vector = ServeServer(str(tmp_path / "b"), backend="vector",
-                         batch_window=0.1).start()
-    try:
-        sweep = [{**JOB, "scheme": "PRI-refcount+lazy", "regs": r}
-                 for r in (48, 64)]
-        sc, vc = ServeClient(scalar.url), ServeClient(vector.url)
-        scalar_stats = [sc.result(_run(sc, j)["id"])["stats"]
-                        for j in sweep]
-        vector_ids = [vc.submit(dict(j))["id"] for j in sweep]
-        vector_stats = [vc.result(vc.wait(i, timeout=60)["id"])["stats"]
-                        for i in vector_ids]
-        assert scalar_stats == vector_stats
-    finally:
-        scalar.stop()
-        vector.stop()
-
-
 def test_failed_job_reports_and_can_retry(tmp_path):
     root = str(tmp_path / "serve")
     srv = ServeServer(root, backend="scalar", batch_window=0.02).start()

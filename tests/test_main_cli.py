@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.isa.registers import NUM_INT_ARCH_REGS
 
 
 def test_list(capsys):
@@ -37,6 +38,38 @@ def test_regs_override(capsys):
                  "--regs", "96"])
     assert code == 0
     assert "96 INT" in capsys.readouterr().out
+    # The smallest PRF that holds the architected state still runs.
+    code = main(["gzip", "--length", "200", "--warmup", "400",
+                 "--regs", str(NUM_INT_ARCH_REGS)])
+    assert code == 0
+    assert f"{NUM_INT_ARCH_REGS} INT" in capsys.readouterr().out
+
+
+def test_regs_sweep_prints_one_row_per_size(capsys):
+    args = ["gzip", "--length", "200", "--warmup", "400"]
+    assert main(args + ["--regs", "64,96,128"]) == 0
+    out = capsys.readouterr().out
+    rows = {}
+    for line in out.splitlines():
+        fields = line.split()
+        if fields and fields[0] in ("64", "96", "128"):
+            rows[fields[0]] = fields[1:]
+    assert sorted(rows) == ["128", "64", "96"]
+    # Each row is exactly what the single-size run reports.
+    assert main(args + ["--regs", "96"]) == 0
+    cycles, ipc, committed = rows["96"]
+    assert (f"cycles={cycles} committed={committed} ipc={ipc}"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("regs", ["64,notanint",
+                                  str(NUM_INT_ARCH_REGS - 1),
+                                  f"64,{NUM_INT_ARCH_REGS - 1}"])
+def test_bad_regs_rejected(regs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gzip", "--regs", regs])
+    assert exc.value.code == 2
+    assert "--regs" in capsys.readouterr().err
 
 
 def test_unknown_scheme_rejected():
