@@ -11,6 +11,7 @@ import time
 from repro.experiments import (
     MatrixError,
     RunSpec,
+    TraceCache,
     figure1,
     figure2,
     figure8,
@@ -198,30 +199,30 @@ def main(argv=None) -> int:
         # same drain path as Ctrl-C.
         raise KeyboardInterrupt
 
+    # One cache for the whole invocation: every table and figure shares
+    # its traces and finished cells, so each cell is simulated once.
+    traces = TraceCache()
+    matrix_kwargs = dict(widths=widths, traces=traces, jobs=args.jobs,
+                         matrix_opts=matrix_opts)
+
+    def build(kind: str, number: int):
+        if kind == "table":
+            return table1() if number == 1 else table2(spec, **matrix_kwargs)
+        if number == 2:
+            return figure2(length=max(args.length, 10000), seed=args.seed)
+        if number == 9:
+            return figure9(spec, widths=widths, traces=traces)
+        return _FIGURES[number](spec, **matrix_kwargs)
+
+    targets = [("table", n) for n in tables] + [("figure", n) for n in figures]
     previous_sigterm = signal.signal(signal.SIGTERM, _sigterm)
     try:
-        for number in tables:
-            start = time.time()
-            if number == 1:
-                result = table1()
-            else:
-                result = table2(spec, widths=widths)
-            emit(f"table{number}", result)
-            print(f"[table {number}: {time.time() - start:.1f}s]\n")
-        for number in figures:
+        for kind, number in targets:
             start = time.time()
             try:
-                if number == 2:
-                    result = figure2(length=max(args.length, 10000),
-                                     seed=args.seed)
-                elif number == 9:
-                    result = _FIGURES[number](spec, widths=widths)
-                else:
-                    result = _FIGURES[number](spec, widths=widths,
-                                              jobs=args.jobs,
-                                              matrix_opts=matrix_opts)
+                result = build(kind, number)
             except MatrixError as err:
-                print(f"figure {number} failed: {len(err.errors)} sweep "
+                print(f"{kind} {number} failed: {len(err.errors)} sweep "
                       "cell(s) did not complete:", file=sys.stderr)
                 for record in err.errors:
                     print(f"  {record}", file=sys.stderr)
@@ -230,10 +231,10 @@ def main(argv=None) -> int:
                           f"{journal_path}; re-run to resume)",
                           file=sys.stderr)
                 return 1
-            if args.farm:
+            if args.farm and (kind, number) != ("table", 1):
                 print(file=sys.stderr)  # end the live progress line
-            emit(f"figure{number}", result)
-            print(f"[figure {number}: {time.time() - start:.1f}s]\n")
+            emit(f"{kind}{number}", result)
+            print(f"[{kind} {number}: {time.time() - start:.1f}s]\n")
     except KeyboardInterrupt:
         # In-flight cells were drained (farm broker / isolated-cell pool
         # handle that on the way out) and every finished cell is already

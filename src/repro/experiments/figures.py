@@ -70,8 +70,12 @@ def figure1(
     ``matrix_opts`` forwards extra keyword arguments (``journal``,
     ``cell_timeout``, ``retries``, ``on_error``, ...) to
     :func:`~repro.experiments.runner.run_matrix`; the same applies to
-    every other matrix-backed figure driver."""
+    every other matrix-backed driver.  ``traces`` is the run's
+    :class:`~repro.experiments.runner.TraceCache`: drivers handed the
+    same cache simulate each shared cell once; ``None`` makes a fresh
+    one for this call (shared by its widths)."""
     spec = spec or RunSpec()
+    traces = traces or TraceCache()
     result = FigureResult(
         "Figure 1: average integer register lifetime (cycles), base machine"
     )
@@ -189,6 +193,7 @@ def figure8(
 ) -> FigureResult:
     """Register lifetime for base vs PRI vs PRI+ER (Figure 8)."""
     spec = spec or RunSpec()
+    traces = traces or TraceCache()
     schemes = ("base", "PRI-refcount+ckptcount", "PRI+ER")
     labels = {"base": "base", "PRI-refcount+ckptcount": "PRI", "PRI+ER": "PRI+ER"}
     result = FigureResult(
@@ -280,6 +285,7 @@ def _scheme_speedup_figure(
     matrix_opts: Optional[Dict] = None,
 ) -> FigureResult:
     spec = spec or RunSpec()
+    traces = traces or TraceCache()
     schemes = ("base",) + FIGURE10_SCHEMES
     result = FigureResult(title)
     for width in widths:
@@ -359,6 +365,7 @@ def figure11(
 ) -> FigureResult:
     """Average integer PRF occupancy for base / ER / PRI / PRI+ER."""
     spec = spec or RunSpec()
+    traces = traces or TraceCache()
     schemes = ("base", "ER", "PRI-refcount+ckptcount", "PRI+ER")
     labels = ("base", "ER", "PRI", "PRI+ER")
     result = FigureResult("Figure 11: average integer PRF occupancy (registers)")

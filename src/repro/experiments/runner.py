@@ -231,10 +231,24 @@ def _run_checkpointed(
 
 
 class TraceCache:
-    """Per-process cache: one trace per (benchmark, spec)."""
+    """The scope of reuse for one run: what every driver and
+    :func:`run_matrix` call that is handed the same cache as
+    ``traces=`` shares.
+
+    It keeps one trace per (benchmark, spec workload knobs) and, besides,
+    every finished cell's :class:`SimStats`, keyed by the sweep journal's
+    :func:`~repro.experiments.journal.cell_key` (resolved config digest,
+    width, length, warmup, seed, ``max_cycles`` and audit).  So Figures
+    1, 8, 10 and 11 and Table 2, which request overlapping base / ER /
+    PRI / PRI+ER cells, simulate each cell once per run.  Every hit
+    hands out the same :class:`SimStats` object, so callers treat it as
+    read-only.  Nothing evicts: make one cache per run, not one per
+    process.
+    """
 
     def __init__(self) -> None:
         self._cache: Dict[Tuple[str, int, int, int], Trace] = {}
+        self._cells: Dict[str, SimStats] = {}
 
     def get(self, benchmark: str, spec: RunSpec) -> Trace:
         key = (benchmark, spec.length, spec.warmup, spec.seed)
@@ -246,8 +260,12 @@ class TraceCache:
             self._cache[key] = trace
         return trace
 
+    def cell(self, key: str) -> Optional[SimStats]:
+        """The finished cell stored under ``key``, or None."""
+        return self._cells.get(key)
 
-_GLOBAL_TRACES = TraceCache()
+    def store_cell(self, key: str, stats: SimStats) -> None:
+        self._cells[key] = stats
 
 
 def run_one(
@@ -268,7 +286,7 @@ def run_one(
     on the next attempt).
     """
     spec = spec or RunSpec()
-    traces = traces or _GLOBAL_TRACES
+    traces = traces if traces is not None else TraceCache()
     config = resolve_config(scheme, width, spec)
     trace = traces.get(benchmark, spec)
     if spec.checkpoint_every:
@@ -574,16 +592,22 @@ def run_matrix(
       finishing and journaling every other cell — with the partial
       results attached.
 
-    Results are bit-identical between serial and parallel runs: traces
-    are deterministic in (benchmark, spec), and each worker regenerates
-    its own.  For that reason the ``traces`` cache is only consulted on
-    the serial (in-process) path; on the parallel path it is
-    intentionally unused — a cache cannot be shared across processes
-    without shipping whole traces over pickle, which costs more than
-    regeneration.
+    ``traces`` (a :class:`TraceCache`) is the scope of reuse for one
+    run.  Every requested cell is looked up in its cell memo first, on
+    every path (serial, ``jobs > 1``, farm), before the journal and
+    before anything is dispatched; every successful result is stored
+    back, whichever path produced it (failed cells never are).  A memo
+    hit missing from an open journal is written to it, so resume sees
+    the same cells as without the memo.  Pass one cache to every driver
+    of a run to simulate each cell once; ``None`` means a fresh cache
+    for this call only.  Only the serial path reads the cache's traces:
+    worker processes regenerate their own, since shipping whole traces
+    to them costs more than regeneration.  Results are bit-identical
+    between the paths: traces are deterministic in (benchmark, spec).
 
     ``cell_fn`` overrides the per-cell simulation callable (signature of
-    :func:`run_one`); it exists for fault-injection tests.
+    :func:`run_one`); it exists for fault-injection tests and bypasses
+    the cell memo, so every requested cell reaches it.
 
     ``farm`` (a :class:`~repro.farm.lease.FarmSpec`) hands execution to
     the fault-tolerant sweep farm (:mod:`repro.farm`): cells become
@@ -599,7 +623,10 @@ def run_matrix(
     if on_error not in ("raise", "record"):
         raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     spec = spec or RunSpec()
+    if traces is None:
+        traces = TraceCache()
     user_cell_fn = cell_fn
+    memo = cell_fn is None
     cell_fn = cell_fn or run_one
     if journal is None and farm is not None:
         journal = farm.paths.journal
@@ -610,23 +637,37 @@ def run_matrix(
 
     results: Dict[str, Dict[str, MatrixCell]] = {b: {} for b in benchmarks}
     todo: List[Tuple[str, str]] = []
+    keys: Dict[Tuple[str, str], str] = {}
+    if memo or sweep_journal is not None:
+        keys = {(b, s): cell_key(b, s, width, spec)
+                for b in benchmarks for s in schemes}
     for benchmark in benchmarks:
         for scheme in schemes:
-            if sweep_journal is not None:
-                saved = sweep_journal.get(cell_key(benchmark, scheme, width, spec))
-                if saved is not None:
-                    results[benchmark][scheme] = saved
-                    continue
-            todo.append((benchmark, scheme))
+            key = keys.get((benchmark, scheme))
+            done = traces.cell(key) if memo else None
+            if done is not None:
+                if sweep_journal is not None and sweep_journal.get(key) is None:
+                    sweep_journal.record_ok(key, done)
+            elif sweep_journal is not None:
+                done = sweep_journal.get(key)
+                if done is not None and memo:
+                    traces.store_cell(key, done)
+            if done is not None:
+                results[benchmark][scheme] = done
+            else:
+                todo.append((benchmark, scheme))
 
     def on_cell_done(benchmark: str, scheme: str, cell: MatrixCell) -> None:
         results[benchmark][scheme] = cell
-        if sweep_journal is not None:
-            key = cell_key(benchmark, scheme, width, spec)
-            if isinstance(cell, CellError):
+        key = keys.get((benchmark, scheme))
+        if isinstance(cell, CellError):
+            if sweep_journal is not None:
                 sweep_journal.record_error(key, cell.to_dict())
-            else:
-                sweep_journal.record_ok(key, cell)
+            return
+        if memo:
+            traces.store_cell(key, cell)
+        if sweep_journal is not None:
+            sweep_journal.record_ok(key, cell)
 
     # ``jobs == 1`` without resilience options stays fully in-process
     # (fast unit tests, pdb-able); anything else gets per-cell worker
@@ -650,11 +691,10 @@ def run_matrix(
             cell_fn, on_cell_done,
         )
     else:
-        local_traces = traces or _GLOBAL_TRACES
         for benchmark, scheme in todo:
             started = time.monotonic()
             try:
-                stats = cell_fn(benchmark, scheme, width, spec, local_traces)
+                stats = cell_fn(benchmark, scheme, width, spec, traces)
             except Exception as exc:  # deterministic: no retry
                 stats = CellError(
                     benchmark, scheme, "error", type(exc).__name__,

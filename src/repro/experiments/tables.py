@@ -3,7 +3,7 @@ Table 2 (benchmarks and base IPC)."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.config import eight_wide, four_wide
 from repro.experiments.figures import FigureResult
@@ -13,7 +13,7 @@ from repro.experiments.runner import (
     INT_BENCHMARKS,
     RunSpec,
     TraceCache,
-    run_one,
+    run_matrix,
 )
 from repro.workloads import get_profile
 
@@ -64,19 +64,28 @@ def table2(
     spec: Optional[RunSpec] = None,
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     traces: Optional[TraceCache] = None,
+    jobs: int = 1,
+    matrix_opts: Optional[Dict] = None,
 ) -> FigureResult:
     """Base IPC for every benchmark at each width, next to the paper's
-    reported values (Table 2)."""
+    reported values (Table 2).  The base cells run through
+    :func:`~repro.experiments.runner.run_matrix`, so ``jobs``,
+    ``matrix_opts`` and ``traces`` mean what they do for the figure
+    drivers."""
     spec = spec or RunSpec()
+    traces = traces or TraceCache()
+    benchmarks = INT_BENCHMARKS + FP_BENCHMARKS
+    matrices = {
+        width: run_matrix(benchmarks, ["base"], width, spec, traces, jobs=jobs,
+                          **(matrix_opts or {}))
+        for width in widths
+    }
     result = FigureResult("Table 2: benchmark programs simulated (base IPC)")
     for suite, names in (("integer", INT_BENCHMARKS), ("floating point", FP_BENCHMARKS)):
         rows = []
         for name in names:
             profile = get_profile(name)
-            cells = [name]
-            for width in widths:
-                stats = run_one(name, "base", width, spec, traces)
-                cells.append(stats.ipc)
+            cells = [name] + [matrices[width][name]["base"].ipc for width in widths]
             cells.extend([profile.paper_ipc_4w, profile.paper_ipc_8w])
             rows.append(cells)
         headers = (

@@ -55,3 +55,43 @@ def test_incompatible_journal_is_reported(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "version" in err
+
+
+_TINY = ["--width", "4", "--length", "300", "--warmup", "600"]
+
+
+def _without_timings(text):
+    return [line for line in text.splitlines()
+            if not (line.startswith("[table ") or line.startswith("[figure "))]
+
+
+def test_one_invocation_matches_one_per_target(capsys):
+    targets = [["--table", "2"], ["--figure", "1"], ["--figure", "8"],
+               ["--figure", "10"], ["--figure", "11"]]
+    assert main([arg for target in targets for arg in target] + _TINY) == 0
+    together = capsys.readouterr().out
+    apart = ""
+    for target in targets:
+        assert main(target + _TINY) == 0
+        apart += capsys.readouterr().out
+    assert _without_timings(together) == _without_timings(apart)
+
+
+def test_table_2_cells_are_journaled(tmp_path, capsys):
+    from repro.experiments import (
+        FP_BENCHMARKS,
+        INT_BENCHMARKS,
+        RunSpec,
+        SweepJournal,
+        cell_key,
+    )
+
+    path = str(tmp_path / "sweep.json")
+    assert main(["--table", "2", "--journal", path] + _TINY) == 0
+    assert "Table 2" in capsys.readouterr().out
+    journal = SweepJournal(path)
+    spec = RunSpec(length=300, warmup=600)
+    benchmarks = INT_BENCHMARKS + FP_BENCHMARKS
+    assert len(benchmarks) == 27
+    for benchmark in benchmarks:
+        assert journal.get(cell_key(benchmark, "base", 4, spec)) is not None
