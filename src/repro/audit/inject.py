@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.audit.auditor import AuditError
+from repro.config import WarPolicy
 from repro.core.machine import Machine, _VID_FLAG
 from repro.core.regfile import RegState
 from repro.isa.opcodes import RegClass
@@ -154,7 +155,11 @@ def _map_corrupt(m: Machine) -> Optional[str]:
 def _war_release(m: Machine) -> Optional[str]:
     """A register with outstanding counted consumers is reclaimed — the
     paper's Figure 6 WAR violation, injected directly into the free
-    list instead of waiting for a buggy policy to produce it."""
+    list instead of waiting for a buggy policy to produce it.  Not
+    applicable under PRI's REPLAY policy, which legally lets consumers
+    outlive the allocation (the auditor skips war-integrity there)."""
+    if m.cfg.pri.enabled and m.cfg.pri.war_policy == WarPolicy.REPLAY:
+        return None
     cls = RegClass.INT
     rf = m.rf[cls]
     counts = m.refcounts[cls]

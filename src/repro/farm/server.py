@@ -4,8 +4,8 @@
 arbiter from "a directory the hosts all mount" into "a port the hosts
 can reach": the broker and any number of workers (local or remote)
 speak :mod:`repro.farm.transport.http` to this process, and hosts need
-share nothing but a network.  Pure stdlib (:mod:`http.server`), no new
-dependencies.
+share nothing but a network.  The HTTP side is :mod:`repro.rpc`, the
+stdlib JSON-RPC server the job server shares; this module adds routes.
 
 Three properties make the service safe to talk to over an unreliable
 network:
@@ -43,14 +43,10 @@ lease, and result from disk.
 from __future__ import annotations
 
 import base64
-import json
 import os
 import threading
 import time
-from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Dict, List, Optional
 
 from repro.farm import lease as fsl
 from repro.farm.lease import (
@@ -60,7 +56,9 @@ from repro.farm.lease import (
     FarmPaths,
     LEASE_KIND,
     Lease,
+    cid_of,
 )
+from repro.rpc import RpcServer
 from repro.store import (
     ArtifactError,
     atomic_write_bytes,
@@ -71,8 +69,6 @@ from repro.store import (
 
 #: Envelope kind of the persisted fencing-token counter.
 FENCE_KIND = "farm-fence"
-#: How many request-id -> response entries the replay cache keeps.
-RID_CACHE_SIZE = 4096
 
 
 class FarmState:
@@ -89,7 +85,6 @@ class FarmState:
         self.cells: Dict[str, CellSpec] = {}
         self.leases: Dict[str, Lease] = {}
         self.fence = 0
-        self.rid_cache: "OrderedDict[str, Dict]" = OrderedDict()
         self._result_keys: set = set()
         self._recover()
 
@@ -183,6 +178,27 @@ class FarmState:
             out.append(data)
         return out
 
+    def snapshot_results(self) -> List[Dict]:
+        out = []
+        for _cid, path in fsl.iter_results(self.paths):
+            try:
+                out.append(fsl.read_result(path).to_dict())
+            except (ArtifactError, OSError):
+                continue  # unreadable: fsck's problem, not the wire's
+        return out
+
+    def read_checkpoint(self, cid: str) -> Dict:
+        try:
+            # Only a published cell has a checkpoint: a cid off the
+            # wire never names a path of its own.
+            if cid in self.cells:
+                with open(self._ckpt_path(cid), "rb") as fh:
+                    raw = fh.read()
+                return {"data": base64.b64encode(raw).decode("ascii")}
+        except OSError:
+            pass
+        return {"missing": 1}
+
     # -------------------------------------------------------- mutations
     # All called under self.lock, all returning JSON-able dicts.  An
     # ``{"code": ...}`` response is a protocol verdict (fenced, taken,
@@ -190,6 +206,10 @@ class FarmState:
 
     def rpc_publish(self, cell_data: Dict) -> Dict:
         cell = CellSpec.from_dict(cell_data)
+        if not isinstance(cell.key, str) or cell.cid != cid_of(cell.key):
+            # The cid names every file of the cell: only the one derived
+            # from its key may reach the disk.
+            raise ValueError(f"cid {cell.cid!r} is not the cid of its key")
         prior = self.cells.get(cell.cid)
         if prior is not None and prior.key == cell.key:
             # Resumed sweep: the service's attempt counter and backoff
@@ -293,7 +313,11 @@ class FarmState:
             # its last scan): refuse — it will re-observe and decide.
             return {"code": "fenced"}
         if terminal is not None:
-            self._store_result(CellResult.from_dict(terminal))
+            result = CellResult.from_dict(terminal)
+            if result.cid != cid:
+                raise ValueError(f"terminal result for {result.cid!r} "
+                                 f"cannot retire cell {cid!r}")
+            self._store_result(result)
             self._drop_lease(cid)
             remove_file(self._ckpt_path(cid))
             return {"ok": 1}
@@ -316,170 +340,47 @@ class FarmState:
                            base64.b64decode(data_b64.encode("ascii")))
         return {"ok": 1}
 
+    # ----------------------------------------------------------- routes
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    # ------------------------------------------------------------ plumbing
-
-    def log_message(self, fmt, *args):  # noqa: D102 — silence stdlib chatter
-        if getattr(self.server, "verbose", False):
-            super().log_message(fmt, *args)
-
-    def _send(self, payload: Dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    @property
-    def state(self) -> FarmState:
-        return self.server.state
-
-    # --------------------------------------------------------------- GET
-
-    def do_GET(self) -> None:  # noqa: N802 — stdlib API
-        parsed = urlparse(self.path)
-        query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
-        state = self.state
-        status = 200
-        # Compute under the lock, transmit outside it: a client slow to
-        # read its response must never stall every other host's RPCs.
-        with state.lock:
-            if parsed.path == "/ping":
-                payload = {"ok": 1, "fence": state.fence,
-                           "cells": len(state.cells),
-                           "results": len(state._result_keys)}
-            elif parsed.path == "/cells":
-                payload = {"cells": state.snapshot_cells()}
-            elif parsed.path == "/leases":
-                payload = {"leases": state.snapshot_leases()}
-            elif parsed.path == "/done":
-                payload = {"cids": sorted({k[0] for k in state._result_keys})}
-            elif parsed.path == "/results":
-                out = []
-                for _cid, path in fsl.iter_results(state.paths):
-                    try:
-                        out.append(fsl.read_result(path).to_dict())
-                    except (ArtifactError, OSError):
-                        continue  # unreadable: fsck's problem, not the wire's
-                payload = {"results": out}
-            elif parsed.path == "/has-checkpoint":
-                cid = query.get("cid", "")
-                payload = {"exists": os.path.exists(state._ckpt_path(cid))}
-            elif parsed.path == "/checkpoint":
-                cid = query.get("cid", "")
-                try:
-                    with open(state._ckpt_path(cid), "rb") as fh:
-                        raw = fh.read()
-                    payload = {"data": base64.b64encode(raw).decode("ascii")}
-                except OSError:
-                    payload = {"missing": 1}
-            else:
-                payload = {"error": f"unknown path {parsed.path!r}"}
-                status = 404
-        self._send(payload, status)
-
-    # -------------------------------------------------------------- POST
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib API
-        parsed = urlparse(self.path)
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(body, dict):
-                raise ValueError("body must be a JSON object")
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._send({"error": f"bad request body: {exc}"}, 400)
-            return
-        rid = body.get("rid")
-        state = self.state
-        status = 200
-        with state.lock:
-            if rid is not None and rid in state.rid_cache:
-                # Exactly-once: this request already executed; its
-                # effect stands and the original answer is replayed.
-                payload = {**state.rid_cache[rid], "rid": rid, "replayed": 1}
-            else:
-                try:
-                    response = self._dispatch(parsed.path, body)
-                except KeyError as exc:
-                    response, status = {"error": f"missing field {exc}"}, 400
-                if response is None:
-                    response = {"error": f"unknown path {parsed.path!r}"}
-                    status = 404
-                if status == 200 and rid is not None:
-                    state.rid_cache[rid] = response
-                    while len(state.rid_cache) > RID_CACHE_SIZE:
-                        state.rid_cache.popitem(last=False)
-                payload = {**response, "rid": rid}
-        self._send(payload, status)
-
-    def _dispatch(self, path: str, body: Dict) -> Optional[Dict]:
-        state = self.state
-        if path == "/publish":
-            return state.rpc_publish(body["cell"])
-        if path == "/prune":
-            return state.rpc_prune(body["keep"])
-        if path == "/claim":
-            return state.rpc_claim(body["cid"], body["worker"],
-                                   float(body["ttl"]), int(body["attempt"]))
-        if path == "/heartbeat":
-            return state.rpc_heartbeat(
-                body["cid"], int(body["token"]), int(body.get("cycle", 0)),
-                int(body.get("committed", 0)), body.get("state"))
-        if path == "/release":
-            return state.rpc_release(body["cid"], int(body["token"]))
-        if path == "/complete":
-            return state.rpc_complete(body["result"], int(body["token"]))
-        if path == "/reclaim":
-            return state.rpc_reclaim(
-                body["cid"], int(body["token"]), int(body["attempt"]),
-                int(body.get("released", 0)), float(body.get("backoff", 0.0)),
-                body.get("terminal"))
-        if path == "/checkpoint":
-            return state.rpc_checkpoint(body["cid"], int(body["token"]),
-                                        body["data"])
-        return None
+    def routes(self) -> Dict[str, Dict]:
+        return {"GET": {
+            "/ping": lambda q: {"ok": 1, "fence": self.fence,
+                                "cells": len(self.cells),
+                                "results": len(self._result_keys)},
+            "/cells": lambda q: {"cells": self.snapshot_cells()},
+            "/leases": lambda q: {"leases": self.snapshot_leases()},
+            "/done": lambda q: {
+                "cids": sorted({k[0] for k in self._result_keys})},
+            "/results": lambda q: {"results": self.snapshot_results()},
+            "/has-checkpoint": lambda q: {"exists": (
+                q.get("cid", "") in self.cells
+                and os.path.exists(self._ckpt_path(q["cid"])))},
+            "/checkpoint": lambda q: self.read_checkpoint(q.get("cid", "")),
+        }, "POST": {
+            "/publish": lambda b: self.rpc_publish(b["cell"]),
+            "/prune": lambda b: self.rpc_prune(b["keep"]),
+            "/claim": lambda b: self.rpc_claim(
+                b["cid"], b["worker"], float(b["ttl"]), int(b["attempt"])),
+            "/heartbeat": lambda b: self.rpc_heartbeat(
+                b["cid"], int(b["token"]), int(b.get("cycle", 0)),
+                int(b.get("committed", 0)), b.get("state")),
+            "/release": lambda b: self.rpc_release(b["cid"],
+                                                   int(b["token"])),
+            "/complete": lambda b: self.rpc_complete(b["result"],
+                                                     int(b["token"])),
+            "/reclaim": lambda b: self.rpc_reclaim(
+                b["cid"], int(b["token"]), int(b["attempt"]),
+                int(b.get("released", 0)), float(b.get("backoff", 0.0)),
+                b.get("terminal")),
+            "/checkpoint": lambda b: self.rpc_checkpoint(
+                b["cid"], int(b["token"]), b["data"]),
+        }}
 
 
-class FarmServer:
-    """An embeddable lease service: ``start()`` serves on a background
-    thread (port 0 picks a free one), ``stop()`` shuts it down.  The
-    CLI's ``serve`` subcommand runs the same thing in the foreground."""
+class FarmServer(RpcServer):
+    """The lease service: the RPC server over :class:`FarmState`."""
 
     def __init__(self, root: str, host: str = "127.0.0.1",
                  port: int = 0, verbose: bool = False) -> None:
-        self.state = FarmState(root)
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.daemon_threads = True
-        self.httpd.state = self.state
-        self.httpd.verbose = verbose
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "FarmServer":
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
-                                        name="farm-server", daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self.httpd.serve_forever()
-
-    def stop(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(5)
-            self._thread = None
+        super().__init__(FarmState(root), host=host, port=port,
+                         verbose=verbose)

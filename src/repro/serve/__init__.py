@@ -20,7 +20,6 @@ from repro.serve.client import (
 )
 from repro.serve.executor import (
     BatchExecutor,
-    FarmOptions,
     JobResult,
     SERVE_BACKENDS,
     resolve_backend,
@@ -43,7 +42,6 @@ __all__ = [
     "CACHE_KIND",
     "CACHE_SCHEMA",
     "CacheEntry",
-    "FarmOptions",
     "JOB_FIELDS",
     "JOB_STATES",
     "JOBS_FORMAT",

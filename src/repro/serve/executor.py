@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.serve.jobs import JobSpec
 
@@ -74,31 +74,19 @@ class _TraceCache:
         return trace
 
 
-@dataclass
-class FarmOptions:
-    """How the ``farm`` backend drives :func:`repro.farm.run_cells_farm`
-    for each batch (one broker round per batch)."""
-
-    root: str
-    workers: int = 2
-    endpoint: Optional[str] = None
-    retries: int = 2
-    lease_ttl: float = 30.0
-    heartbeat_interval: float = 1.0
-    poll_interval: float = 0.1
-    grace: float = 5.0
-
-
 class BatchExecutor:
     """Runs batches of cold misses; stateless between batches except
-    for the trace cache."""
+    for the trace cache.  The ``farm`` backend runs each batch as one
+    broker round on ``farm_root`` with ``farm_workers`` local workers."""
 
     def __init__(self, backend: str = "scalar",
-                 farm_options: Optional[FarmOptions] = None) -> None:
+                 farm_root: Optional[str] = None,
+                 farm_workers: int = 2) -> None:
         self.backend = resolve_backend(backend)
-        if self.backend == "farm" and farm_options is None:
-            raise ValueError("backend='farm' needs FarmOptions")
-        self.farm_options = farm_options
+        if self.backend == "farm" and farm_root is None:
+            raise ValueError("backend='farm' needs a farm_root")
+        self.farm_root = farm_root
+        self.farm_workers = farm_workers
         self._traces = _TraceCache()
 
     # ------------------------------------------------------------ entry
@@ -161,17 +149,12 @@ class BatchExecutor:
         from repro.experiments.runner import CellError
         from repro.farm import FarmSpec, run_cells_farm
 
-        options = self.farm_options
         # All specs share a batch key, so one RunSpec and width fit all.
         run_spec = specs[0].run_spec()
         width = specs[0].width
         by_cell = {(s.benchmark, s.scheme): s for s in specs}
-        farm = FarmSpec(
-            root=options.root, workers=options.workers,
-            endpoint=options.endpoint, lease_ttl=options.lease_ttl,
-            heartbeat_interval=options.heartbeat_interval,
-            poll_interval=options.poll_interval, grace=options.grace,
-        )
+        farm = FarmSpec(root=self.farm_root, workers=self.farm_workers,
+                        poll_interval=0.1)
         out: Dict[str, JobResult] = {}
         started = time.perf_counter()
 
@@ -193,7 +176,7 @@ class BatchExecutor:
 
         run_cells_farm(
             sorted(by_cell), width, run_spec, farm, None, on_cell_done,
-            retries=options.retries,
+            retries=2,
         )
         return out
 
@@ -203,8 +186,3 @@ def _cost(backend: str, cycles: int, instructions: int,
     return {"backend": backend, "cycles": cycles,
             "instructions": instructions,
             "wall_seconds": round(wall_seconds, 6), **extra}
-
-
-#: Signature of the server's completion callback, for reference:
-#: ``on_job_done(job_id: str, result: JobResult) -> None``.
-OnJobDone = Callable[[str, JobResult], None]

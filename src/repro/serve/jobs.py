@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
 from repro.isa.registers import NUM_INT_ARCH_REGS
+from repro.rpc import BadRequest
 from repro.store.errors import DigestMismatch, MalformedRecord
 from repro.store.integrity import (
     append_checked_line,
@@ -57,7 +58,7 @@ JOB_FIELDS = ("id", "key", "state", "ts")
 _WIDTHS = (4, 8)
 
 
-class JobError(ValueError):
+class JobError(BadRequest):
     """A submission that cannot become a job (unknown scheme, bad
     field, out-of-range workload knob).  Maps to HTTP 400."""
 

@@ -29,29 +29,23 @@ instant and restart it: every acked job is re-enqueued (or already
 answered), nothing acked is lost, and nothing is simulated twice whose
 result survived.
 
-The wire idioms — rid replay cache for idempotent POSTs, one lock,
-compute-under-lock / transmit-outside — are the farm lease service's
-(:mod:`repro.farm.server`); long-polling (``/wait``) rides the same
-lock's condition variable.
+The HTTP side — rid replay cache for idempotent POSTs, one lock,
+compute-under-lock / transmit-outside, 400 for a malformed job — is
+:mod:`repro.rpc`, shared with the farm lease service; long-polling
+(``/wait``) rides a condition variable on that same lock.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
-from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
 
+from repro.rpc import RpcServer
 from repro.serve.cache import ResultCache
-from repro.serve.executor import BatchExecutor, FarmOptions, JobResult
-from repro.serve.jobs import JobError, JobJournal, JobSpec, parse_job
-
-#: How many request-id -> response entries the replay cache keeps.
-RID_CACHE_SIZE = 4096
+from repro.serve.executor import BatchExecutor, JobResult
+from repro.serve.jobs import JobJournal, JobSpec, parse_job
 
 #: Default seconds the executor waits after the first queued job so that
 #: a burst of submissions lands in one batch (and shares its traces).
@@ -71,15 +65,12 @@ class ServeState:
     def __init__(self, root: str, backend: str = "scalar",
                  batch_window: float = BATCH_WINDOW,
                  farm_workers: int = 2) -> None:
-        self.root = root
         os.makedirs(root, exist_ok=True)
         self.cache = ResultCache(os.path.join(root, "cache"))
         self.journal = JobJournal(os.path.join(root, "jobs.json"))
-        farm_options = None
-        if backend == "farm":
-            farm_options = FarmOptions(root=os.path.join(root, "farm"),
-                                       workers=farm_workers)
-        self.executor = BatchExecutor(backend, farm_options=farm_options)
+        self.executor = BatchExecutor(backend,
+                                      farm_root=os.path.join(root, "farm"),
+                                      farm_workers=farm_workers)
         self.batch_window = batch_window
         self.lock = threading.Lock()
         self.changed = threading.Condition(self.lock)
@@ -89,7 +80,6 @@ class ServeState:
         self.specs: Dict[str, JobSpec] = {}
         #: ids waiting for the executor, submission order.
         self.queue: List[str] = []
-        self.rid_cache: "OrderedDict[str, Dict]" = OrderedDict()
         self.started_unix = time.time()
         self.metrics: Dict[str, float] = {
             "submissions": 0, "cache_hits": 0, "inflight_dedup": 0,
@@ -234,6 +224,66 @@ class ServeState:
         out["uptime_seconds"] = round(time.time() - self.started_unix, 3)
         return out
 
+    def status_view(self, query: Dict) -> Tuple[Dict, int]:
+        record = self.job_view(query.get("id", ""))
+        if record is None:
+            return {"error": "unknown job id"}, 404
+        return record, 200
+
+    def wait_view(self, query: Dict) -> Tuple[Dict, int]:
+        """Long-poll: block (condition wait, lock released) until the
+        job reaches a terminal state or the timeout passes.  Caller
+        holds the lock."""
+        job_id = query.get("id", "")
+        try:
+            timeout = min(MAX_WAIT, max(0.0, float(query.get("timeout", 30))))
+        except ValueError:
+            return {"error": "timeout must be a number"}, 400
+        deadline = time.monotonic() + timeout
+        while True:
+            record = self.job_view(job_id)
+            if record is None:
+                return {"error": "unknown job id"}, 404
+            if record["state"] in ("done", "failed"):
+                return record, 200
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return {**record, "timeout": 1}, 200
+            self.changed.wait(timeout=min(remaining, 1.0))
+
+    def result_view(self, query: Dict) -> Tuple[Dict, int]:
+        record = self.job_view(query.get("id", ""))
+        if record is None:
+            return {"error": "unknown job id"}, 404
+        if record["state"] == "failed":
+            return record, 200
+        if record["state"] != "done":
+            return {**record, "pending": 1}, 202
+        entry = self.cache.get(record["key"])
+        if entry is None:
+            # The cache entry rotted after the journal said done: be
+            # honest — the client can resubmit to re-simulate.
+            return {**record, "error": {"error_type": "CacheMiss",
+                                        "message": "cached result "
+                                                   "unreadable; resubmit"},
+                    "state": "failed"}, 200
+        return {**record, "stats": entry.stats, "cost": entry.cost}, 200
+
+    # ----------------------------------------------------------- routes
+
+    def routes(self) -> Dict[str, Dict]:
+        return {"GET": {
+            "/ping": lambda q: {"ok": 1, "jobs": len(self.jobs),
+                                "queue": len(self.queue),
+                                "cache_entries": len(self.cache)},
+            "/status": self.status_view,
+            "/wait": self.wait_view,
+            "/result": self.result_view,
+            "/metrics": lambda q: self.metrics_view(),
+            "/jobs": lambda q: {"jobs": [self.job_view(i)
+                                         for i in sorted(self.jobs)]},
+        }, "POST": {"/submit": self.rpc_submit, "/gc": self.rpc_gc}}
+
     # ---------------------------------------------------------- executor
 
     def take_batch(self) -> List[JobSpec]:
@@ -288,42 +338,28 @@ class ServeState:
         self.specs.pop(job_id, None)
         self.changed.notify_all()
 
-
-class _ExecutorThread(threading.Thread):
-    """Drains the queue: wait for work, linger one batch window so a
-    burst coalesces, run the batch, publish results."""
-
-    def __init__(self, state: ServeState) -> None:
-        super().__init__(name="serve-executor", daemon=True)
-        self.state = state
-        self._halt = threading.Event()
-
-    def stop(self) -> None:
-        self._halt.set()
-        with self.state.lock:
-            self.state.changed.notify_all()
-
-    def run(self) -> None:
-        state = self.state
-        while not self._halt.is_set():
-            with state.lock:
-                while not state.queue and not self._halt.is_set():
-                    state.changed.wait(timeout=0.5)
-                if self._halt.is_set():
+    def drain(self, halt: threading.Event) -> None:
+        """The executor thread, until ``halt``: wait for work, linger one
+        batch window so a burst coalesces, run the batch, publish it."""
+        while not halt.is_set():
+            with self.lock:
+                while not self.queue and not halt.is_set():
+                    self.changed.wait(timeout=0.5)
+                if halt.is_set():
                     return
             # Linger outside the lock: let the rest of a burst arrive.
-            if state.batch_window > 0:
-                time.sleep(state.batch_window)
-            with state.lock:
-                batch = state.take_batch()
+            if self.batch_window > 0:
+                time.sleep(self.batch_window)
+            with self.lock:
+                batch = self.take_batch()
                 if batch:
-                    state.metrics["batches"] += 1
+                    self.metrics["batches"] += 1
             if not batch:
                 continue
             # Simulate outside the lock — submissions and polls must
             # keep flowing while a batch runs.
-            results = state.executor.run_batch(batch)
-            with state.lock:
+            results = self.executor.run_batch(batch)
+            with self.lock:
                 for spec in batch:
                     result = results.get(spec.job_id())
                     if result is None:
@@ -331,190 +367,32 @@ class _ExecutorThread(threading.Thread):
                             status="error",
                             error={"error_type": "ExecutorError",
                                    "message": "backend returned no result"})
-                    state.finish_job(spec, result)
+                    self.finish_job(spec, result)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, fmt, *args):  # noqa: D102 — silence stdlib chatter
-        if getattr(self.server, "verbose", False):
-            super().log_message(fmt, *args)
-
-    def _send(self, payload: Dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    @property
-    def state(self) -> ServeState:
-        return self.server.state
-
-    # --------------------------------------------------------------- GET
-
-    def do_GET(self) -> None:  # noqa: N802 — stdlib API
-        parsed = urlparse(self.path)
-        query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
-        state = self.state
-        status = 200
-        # Compute under the lock, transmit outside it: a slow reader
-        # must never stall submissions or the executor.
-        with state.lock:
-            if parsed.path == "/ping":
-                payload = {"ok": 1, "jobs": len(state.jobs),
-                           "queue": len(state.queue),
-                           "cache_entries": len(state.cache)}
-            elif parsed.path == "/status":
-                payload = state.job_view(query.get("id", ""))
-                if payload is None:
-                    payload, status = {"error": "unknown job id"}, 404
-            elif parsed.path == "/wait":
-                payload, status = self._wait(query)
-            elif parsed.path == "/result":
-                payload, status = self._result(query)
-            elif parsed.path == "/metrics":
-                payload = state.metrics_view()
-            elif parsed.path == "/jobs":
-                payload = {"jobs": [state.job_view(i)
-                                    for i in sorted(state.jobs)]}
-            else:
-                payload = {"error": f"unknown path {parsed.path!r}"}
-                status = 404
-        self._send(payload, status)
-
-    def _wait(self, query: Dict) -> Tuple[Dict, int]:
-        """Long-poll: block (condition wait, lock released) until the
-        job reaches a terminal state or the timeout passes.  Caller
-        holds the lock."""
-        state = self.state
-        job_id = query.get("id", "")
-        try:
-            timeout = min(MAX_WAIT, max(0.0, float(query.get("timeout", 30))))
-        except ValueError:
-            return {"error": "timeout must be a number"}, 400
-        deadline = time.monotonic() + timeout
-        while True:
-            record = state.job_view(job_id)
-            if record is None:
-                return {"error": "unknown job id"}, 404
-            if record["state"] in ("done", "failed"):
-                return record, 200
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return {**record, "timeout": 1}, 200
-            state.changed.wait(timeout=min(remaining, 1.0))
-
-    def _result(self, query: Dict) -> Tuple[Dict, int]:
-        state = self.state
-        record = state.job_view(query.get("id", ""))
-        if record is None:
-            return {"error": "unknown job id"}, 404
-        if record["state"] == "failed":
-            return record, 200
-        if record["state"] != "done":
-            return {**record, "pending": 1}, 202
-        entry = state.cache.get(record["key"])
-        if entry is None:
-            # The cache entry rotted after the journal said done: be
-            # honest — the client can resubmit to re-simulate.
-            return {**record, "error": {"error_type": "CacheMiss",
-                                        "message": "cached result "
-                                                   "unreadable; resubmit"},
-                    "state": "failed"}, 200
-        return {**record, "stats": entry.stats, "cost": entry.cost}, 200
-
-    # -------------------------------------------------------------- POST
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib API
-        parsed = urlparse(self.path)
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(body, dict):
-                raise ValueError("body must be a JSON object")
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._send({"error": f"bad request body: {exc}"}, 400)
-            return
-        rid = body.get("rid")
-        state = self.state
-        status = 200
-        with state.lock:
-            if rid is not None and rid in state.rid_cache:
-                # Exactly-once: the request already executed; replay the
-                # original answer instead of executing twice.
-                payload = {**state.rid_cache[rid], "rid": rid, "replayed": 1}
-            else:
-                try:
-                    response = self._dispatch(parsed.path, body)
-                except JobError as exc:
-                    response, status = {"error": str(exc)}, 400
-                except (KeyError, TypeError, ValueError) as exc:
-                    response, status = {"error": f"bad request: {exc}"}, 400
-                if response is None:
-                    response = {"error": f"unknown path {parsed.path!r}"}
-                    status = 404
-                if status == 200 and rid is not None:
-                    state.rid_cache[rid] = response
-                    while len(state.rid_cache) > RID_CACHE_SIZE:
-                        state.rid_cache.popitem(last=False)
-                payload = {**response, "rid": rid}
-        self._send(payload, status)
-
-    def _dispatch(self, path: str, body: Dict) -> Optional[Dict]:
-        if path == "/submit":
-            return self.state.rpc_submit(body)
-        if path == "/gc":
-            return self.state.rpc_gc(body)
-        return None
-
-
-class ServeServer:
-    """An embeddable simulation service: ``start()`` serves on
-    background threads (port 0 picks a free one), ``stop()`` shuts both
-    the socket and the executor down.  The CLI's ``serve`` subcommand
-    runs the same thing in the foreground."""
+class ServeServer(RpcServer):
+    """An embeddable simulation service over :class:`ServeState`: the
+    RPC server plus the executor thread it starts and stops."""
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
                  backend: str = "scalar", batch_window: float = BATCH_WINDOW,
                  farm_workers: int = 2, verbose: bool = False) -> None:
-        self.state = ServeState(root, backend=backend,
-                                batch_window=batch_window,
-                                farm_workers=farm_workers)
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.daemon_threads = True
-        self.httpd.state = self.state
-        self.httpd.verbose = verbose
-        self._executor = _ExecutorThread(self.state)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ServeServer":
-        self._executor.start()
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
-                                        name="serve-http", daemon=True)
-        self._thread.start()
-        return self
+        super().__init__(ServeState(root, backend=backend,
+                                    batch_window=batch_window,
+                                    farm_workers=farm_workers),
+                         host=host, port=port, verbose=verbose)
+        self._halt = threading.Event()
+        self._executor = threading.Thread(
+            target=self.state.drain, args=(self._halt,),
+            name="serve-executor", daemon=True)
 
     def serve_forever(self) -> None:
         self._executor.start()
-        self.httpd.serve_forever()
+        super().serve_forever()
 
     def stop(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self._executor.stop()
+        super().stop()
+        self._halt.set()
+        with self.state.lock:
+            self.state.changed.notify_all()
         self._executor.join(5)
-        if self._thread is not None:
-            self._thread.join(5)
-            self._thread = None

@@ -7,8 +7,11 @@ the filesystem backend's behavior behind the same interface and the
 ``make_transport`` factory that picks between them.
 """
 
+import json
 import os
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.farm.lease import (
 from repro.farm.server import FarmServer
 from repro.farm.transport import (
     Fenced,
+    RpcError,
     TransportUnavailable,
     make_transport,
 )
@@ -245,8 +249,100 @@ def test_replayed_completion_is_ok_not_fenced(server):
     worker.publish(cell)
     lease = worker.claim(cell, "w0", ttl=30.0)
     worker.write_result(_ok(cell, "w0"), lease=lease)
-    server.state.rid_cache.clear()  # simulate a cache wipe
+    server.rid_cache.clear()  # simulate a cache wipe
     worker.write_result(_ok(cell, "w0"), lease=lease)  # must not raise
+
+
+# ================================================= malformed requests
+
+
+def _raw(server, path, body=None):
+    """One HTTP request, no retries: ``(status, decoded JSON body)``."""
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    request = urllib.request.Request(
+        server.url + path, data=data,
+        headers={"Content-Type": "application/json"},
+        method="GET" if body is None else "POST")
+    try:
+        with urllib.request.urlopen(request, timeout=5) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def test_malformed_lease_rpcs_are_400_not_a_dropped_connection(server):
+    cell = _cell()
+    assert _raw(server, "/publish", {"cell": cell.to_dict()})[0] == 200
+    bad = [
+        ("/claim", {"cid": cell.cid, "worker": "w0", "ttl": "abc",
+                    "attempt": 1}),
+        ("/heartbeat", {"cid": cell.cid, "token": "zz"}),
+        ("/publish", {"cell": {**cell.to_dict(), "bogus": 1}}),
+        ("/prune", {"keep": None}),
+    ]
+    for path, body in bad:
+        status, payload = _raw(server, path, {**body, "rid": "r" + path})
+        assert status == 400, (path, payload)
+        assert "error" in payload
+    # Nothing was applied, and a 400 is not remembered for replay.
+    assert server.rid_cache == {}
+    assert server.state.leases == {}
+    assert set(server.state.cells) == {cell.cid}
+    assert _raw(server, "/ping")[0] == 200
+
+
+def test_malformed_rpc_raises_rpc_error_without_retrying(server):
+    """A request that can never succeed must fail at once with a
+    verdict, not be retried as transient until the deadline and then
+    reported as an unreachable service."""
+    client = HttpTransport(server.url, client_id="w0", timeout=5.0,
+                           deadline=60.0)
+    cell = _cell()
+    client.publish(cell)
+    started = time.monotonic()
+    with pytest.raises(RpcError, match="HTTP 400"):
+        client.claim(cell, "w0", ttl="abc")
+    assert time.monotonic() - started < 5.0
+    assert client._rid_counter == 2  # one publish, one claim: no retry
+
+
+# ====================================================== path traversal
+
+
+def test_publish_refuses_a_cid_that_is_not_its_keys(server, tmp_path):
+    forged = {**_cell().to_dict(), "cid": "../../escaped"}
+    status, _ = _raw(server, "/publish", {"cell": forged})
+    assert status == 400
+    assert not os.path.exists(tmp_path / "escaped.json")
+    assert server.state.cells == {}
+
+
+def test_checkpoint_reads_only_published_cells(server, tmp_path):
+    outside = tmp_path / "outside.snap"
+    outside.write_bytes(b"not the service's to serve")
+    for cid in ("../../outside", "nope"):
+        assert _raw(server, f"/checkpoint?cid={cid}") == (200, {"missing": 1})
+        assert _raw(server, f"/has-checkpoint?cid={cid}") == (
+            200, {"exists": False})
+    # A published cell's checkpoint still round-trips:
+    # test_checkpoint_roundtrip_and_cleanup.
+
+
+def test_reclaim_refuses_a_terminal_result_for_another_cell(server,
+                                                            tmp_path):
+    broker = _client(server, "broker")
+    cell = _cell()
+    broker.publish(cell)
+    forged = _ok(cell, "broker").to_dict()
+    forged["cid"] = "../../escaped"
+    status, _ = _raw(server, "/reclaim", {
+        "cid": cell.cid, "token": 0, "attempt": 1, "terminal": forged})
+    assert status == 400
+    assert os.listdir(FarmPaths(server.state.paths.root).results) == []
+    assert not list(tmp_path.glob("escaped*"))
+    # The cell's own terminal result is still accepted.
+    assert broker.reclaim(cell, None, terminal=_ok(cell, "broker"))
+    assert broker.done_cids() == {cell.cid}
 
 
 # ============================================= restart + clock ownership

@@ -90,6 +90,26 @@ def test_run_spec_not_applicable():
     assert run_spec(spec)["outcome"] == "not-applicable"
 
 
+# Seed 38 of the CI sweep (``--seeds 0-39 --fault-rate 0.3``): a
+# war-release fault under PRI's REPLAY policy, which legally lets
+# consumers outlive the allocation, so the fault has nothing to violate.
+_WAR_REPLAY = FuzzSpec(
+    seed=38, benchmark="fma3d", length=1500, warmup=8000, trace_seed=11148,
+    width=8, int_phys_regs=56, fp_phys_regs=56, pri=True,
+    war_policy="replay", checkpoint_policy="lazy", int_width_bits=10,
+    oracle_interval=256, audit_interval=1024, fault="war-release",
+    fault_cycle=211,
+)
+
+
+def test_war_release_not_applicable_under_replay():
+    assert run_spec(_WAR_REPLAY)["outcome"] == "not-applicable"
+    # The same fault under the counting WAR policies is still caught.
+    for policy in ("refcount", "ideal"):
+        spec = dataclasses.replace(_WAR_REPLAY, war_policy=policy)
+        assert run_spec(spec)["outcome"] == "caught", policy
+
+
 def test_shrink_preserves_failure():
     result = run_spec(_ESCAPE)
     shrunk = shrink_spec(_ESCAPE, result)
